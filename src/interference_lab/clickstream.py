@@ -5,6 +5,10 @@ two articles with weight equal to the number of sessions that contained both.
 Exposure classifies each session by the treatment labels it saw; the share of
 sessions seeing both arms is the interference heuristic used to judge a
 clustering.
+
+Internally a graph is held as ``src``/``dst``/``w`` edge arrays and a session
+list as a CSR view (``indptr``, ``article``). Weights are integer counts, so
+every weight sum is exact whatever its order.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,31 +39,39 @@ class Session:
 
 @dataclass(frozen=True)
 class SessionGraph:
-    """Weighted undirected co-view graph; keys are (i, j) with i < j."""
+    """Weighted undirected co-view graph; keys are (i, j) with i < j, mirrored in src/dst/w."""
 
     n: int
     edges: dict[tuple[int, int], int]
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for (i, j), w in self.edges.items():
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"edge ({i},{j}) out of range or unordered")
-            if w < 1:
-                raise ValueError("edge weights must be >= 1")
+        ij = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        src, dst = ij[:, 0], ij[:, 1]
+        # Integer counts keep an integer dtype, so every sum of them is exact.
+        w = np.array(list(self.edges.values()))
+        if (src == dst).any():
+            raise ValueError("self-loops are not allowed")
+        bad = (src < 0) | (src >= dst) | (dst >= self.n)
+        if bad.any():
+            i, j = ij[bad.argmax()]
+            raise ValueError(f"edge ({i},{j}) out of range or unordered")
+        if (w < 1).any():
+            raise ValueError("edge weights must be >= 1")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "w", w)
 
     @property
     def total_weight(self) -> float:
-        return float(sum(self.edges.values()))
+        return float(self.w.sum())
 
     def strengths(self) -> np.ndarray:
         """Weighted degree per node."""
-        d = np.zeros(self.n)
-        for (i, j), w in self.edges.items():
-            d[i] += w
-            d[j] += w
-        return d
+        return (np.bincount(self.src, self.w, minlength=self.n)
+                + np.bincount(self.dst, self.w, minlength=self.n))
 
 
 @dataclass(frozen=True)
@@ -102,13 +113,9 @@ def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
     anywhere = rng.integers(0, n, total)
     views = np.where(stay, members[in_cluster], anywhere)
 
-    sessions = []
-    start = 0
-    for i, c in enumerate(counts):
-        viewed = frozenset(int(v) for v in views[start:start + c])
-        sessions.append(Session(session_id=f"s{i}", viewed=viewed))
-        start += c
-    return sessions
+    ends = np.cumsum(counts).tolist()
+    return [Session(session_id=f"s{i}", viewed=frozenset(views[start:end].tolist()))
+            for i, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
 def read_sessions(path, n_articles: int | None = None) -> list[Session]:
@@ -158,41 +165,58 @@ def write_sessions(sessions: list[Session], path) -> None:
                 writer.writerow([s.session_id, a])
 
 
+def _csr(sessions: list[Session]) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, article): session s viewed ``article[indptr[s]:indptr[s + 1]]``."""
+    indptr = np.cumsum([0] + [len(s.viewed) for s in sessions])
+    article = np.fromiter(itertools.chain.from_iterable(s.viewed for s in sessions),
+                          dtype=np.int64, count=int(indptr[-1]))
+    return indptr, article
+
+
 def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
     """Co-view graph: each session adds weight 1 to every pair it viewed."""
     if not sessions:
         raise ValueError("sessions must be non-empty")
-    max_seen = max(max(s.viewed) for s in sessions)
+    indptr, article = _csr(sessions)
+    max_seen = int(article.max())
     if n is None:
         n = max_seen + 1
     elif max_seen >= n:
         raise ValueError("session views exceed the declared article count")
-    weights: Counter[tuple[int, int]] = Counter()
-    for s in sessions:
-        for i, j in itertools.combinations(sorted(s.viewed), 2):
-            weights[(i, j)] += 1
-    return SessionGraph(n=n, edges=dict(weights))
+    lengths = np.diff(indptr)
+    keys = [np.empty(0, dtype=np.int64)]
+    # Sessions of one length expand to their pairs in one block.
+    for length in np.unique(lengths[lengths >= 2]):
+        a, b = np.triu_indices(length, 1)
+        views = article[indptr[:-1][lengths == length, None] + np.arange(length)]
+        i, j = views[:, a], views[:, b]
+        keys.append((np.minimum(i, j) * n + np.maximum(i, j)).ravel())
+    pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
+    # Keys share one int object per node; fresh ints per edge end would
+    # cost another 64 bytes per edge.
+    node = np.arange(n, dtype=object)
+    edges = zip(zip(node[pairs // n].tolist(), node[pairs % n].tolist()), counts.tolist())
+    return SessionGraph(n=n, edges=dict(edges))
 
 
 def exposure_share(sessions: list[Session], assignment: Assignment) -> ExposureReport:
     """Classify each session by the set of treatment labels it saw."""
     if not sessions:
         raise ValueError("sessions must be non-empty")
-    treated = assignment.treated
-    both = t_only = c_only = 0
-    for s in sessions:
-        for a in s.viewed:
-            if a < 0 or a >= assignment.n:
-                raise ValueError(f"session {s.session_id}: article {a} not covered "
-                                 "by the assignment")
-        labels = {bool(treated[a]) for a in s.viewed}
-        if len(labels) == 2:
-            both += 1
-        elif True in labels:
-            t_only += 1
-        else:
-            c_only += 1
+    indptr, article = _csr(sessions)
+    uncovered = (article < 0) | (article >= assignment.n)
+    if uncovered.any():
+        at = int(uncovered.argmax())
+        s = sessions[int(np.searchsorted(indptr, at, side="right")) - 1]
+        raise ValueError(f"session {s.session_id}: article {article[at]} not covered "
+                         "by the assignment")
+    treated = assignment.treated[article]
+    any_treated = np.logical_or.reduceat(treated, indptr[:-1])
+    all_treated = np.logical_and.reduceat(treated, indptr[:-1])
     count = len(sessions)
+    both = int((any_treated & ~all_treated).sum())
+    t_only = int(all_treated.sum())
+    c_only = count - both - t_only
     return ExposureReport(
         share_both=both / count,
         share_treated_only=t_only / count,

@@ -5,11 +5,14 @@ intra-cluster edge weight, d_c the total weighted degree of cluster c, m the
 total edge weight, and gamma the resolution parameter (gamma = 1 is standard
 modularity). ``frontier`` sweeps gamma and reports the bias / variance /
 exposure trade-off of cluster-randomizing on the inferred partitions.
+
+Both read the graph's ``src``/``dst``/``w`` edge arrays. A Louvain level is
+such an edge list, with self-loops holding each node's internal weight.
+Weights are integer counts, so no move decision depends on summation order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,35 +60,37 @@ def modularity(graph: SessionGraph, partition: Partition, gamma: float = 1.0) ->
         raise ValueError("partition does not cover the graph's nodes")
     c = partition.cluster_of
     k = partition.n_clusters
-    intra = np.zeros(k)
-    degree = np.zeros(k)
-    for (i, j), w in graph.edges.items():
-        degree[c[i]] += w
-        degree[c[j]] += w
-        if c[i] == c[j]:
-            intra[c[i]] += w
+    same = c[graph.src] == c[graph.dst]
+    intra = np.bincount(c[graph.src[same]], graph.w[same], minlength=k)
+    degree = np.bincount(c, graph.strengths(), minlength=k)
     return float((intra / m - gamma * (degree / (2.0 * m)) ** 2).sum())
 
 
-def _local_move(nbrs: list[dict[int, float]], self_w: list[float], m: float,
+def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: float,
                 gamma: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One local-moving phase; returns (community per node, any_move)."""
-    n_nodes = len(nbrs)
-    strength = np.array([2.0 * self_w[i] + sum(nbrs[i].values()) for i in range(n_nodes)])
-    comm = np.arange(n_nodes)
+    """One local-moving phase over a level's k nodes; returns (community per node, any_move)."""
+    strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
+    # CSR adjacency over both directions of every edge except self-loops
+    link = src != dst
+    tail = np.concatenate([src[link], dst[link]])
+    order = np.argsort(tail, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=k))]).tolist()
+    nbr = np.concatenate([dst[link], src[link]])[order].tolist()
+    nbr_w = np.concatenate([w[link], w[link]])[order].tolist()
+    comm = list(range(k))
     sigma_tot = strength.copy()
     two_m2 = 2.0 * m * m
 
     any_move = False
     while True:
         moved_this_pass = False
-        for i in rng.permutation(n_nodes):
+        for i in rng.permutation(k).tolist():
             current = comm[i]
             d_i = strength[i]
             # weight from i into each neighboring community
             links: dict[int, float] = {}
-            for j, w in nbrs[i].items():
-                links[comm[j]] = links.get(comm[j], 0.0) + w
+            for j, w_ij in zip(nbr[ptr[i]:ptr[i + 1]], nbr_w[ptr[i]:ptr[i + 1]]):
+                links[comm[j]] = links.get(comm[j], 0.0) + w_ij
             base_in = links.get(current, 0.0)
             best_comm, best_gain = current, 0.0
             # ascending candidate order breaks near-ties toward the lowest id
@@ -105,33 +110,7 @@ def _local_move(nbrs: list[dict[int, float]], self_w: list[float], m: float,
                 any_move = True
         if not moved_this_pass:
             break
-    return comm, any_move
-
-
-def _aggregate(nbrs: list[dict[int, float]], self_w: list[float],
-               comm: np.ndarray) -> tuple[list[dict[int, float]], list[float], np.ndarray]:
-    """Collapse communities into supernodes; returns (nbrs, self_w, relabel)."""
-    labels = np.unique(comm)
-    relabel = np.zeros(comm.max() + 1, dtype=np.int64)
-    relabel[labels] = np.arange(labels.size)
-    new_comm = relabel[comm]
-    k = labels.size
-    new_self = [0.0] * k
-    new_nbrs: list[dict[int, float]] = [dict() for _ in range(k)]
-    for i, loops in enumerate(self_w):
-        new_self[new_comm[i]] += loops
-    for i in range(len(nbrs)):
-        ci = new_comm[i]
-        for j, w in nbrs[i].items():
-            if j <= i:
-                continue
-            cj = new_comm[j]
-            if ci == cj:
-                new_self[ci] += w
-            else:
-                new_nbrs[ci][cj] = new_nbrs[ci].get(cj, 0.0) + w
-                new_nbrs[cj][ci] = new_nbrs[cj].get(ci, 0.0) + w
-    return new_nbrs, new_self, new_comm
+    return np.array(comm), any_move
 
 
 def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition:
@@ -148,23 +127,22 @@ def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition
         raise ValueError("louvain requires a graph with positive total weight")
     rng = np.random.default_rng(seed)
 
-    nbrs: list[dict[int, float]] = [dict() for _ in range(graph.n)]
-    for (i, j), w in graph.edges.items():
-        nbrs[i][j] = nbrs[i].get(j, 0.0) + w
-        nbrs[j][i] = nbrs[j].get(i, 0.0) + w
-    self_w = [0.0] * graph.n
+    src, dst, w, k = graph.src, graph.dst, graph.w, graph.n
     membership = np.arange(graph.n)
-
     while True:
-        comm, moved = _local_move(nbrs, self_w, m, gamma, rng)
+        comm, moved = _local_move(src, dst, w, k, m, gamma, rng)
         if not moved:
             break
-        # membership maps original node -> current-level node; new_comm maps
+        # membership maps original node -> current-level node; comm now maps
         # current-level node -> aggregated node, so compose them.
-        nbrs, self_w, new_comm = _aggregate(nbrs, self_w, comm)
-        membership = new_comm[membership]
-        if len(nbrs) <= 1:
+        labels, comm = np.unique(comm, return_inverse=True)
+        membership = comm[membership]
+        k = labels.size
+        if k <= 1:
             break
+        lo, hi = np.minimum(comm[src], comm[dst]), np.maximum(comm[src], comm[dst])
+        pairs, pair_of = np.unique(lo * k + hi, return_inverse=True)
+        src, dst, w = pairs // k, pairs % k, np.bincount(pair_of, w)
     return Partition.from_labels(membership)
 
 

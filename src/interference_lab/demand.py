@@ -55,17 +55,12 @@ class Partition:
         New ids follow first appearance by article index, so the result is
         deterministic for a given label vector.
         """
-        labels = np.asarray(labels)
-        _, inverse = np.unique(labels, return_inverse=True)
-        # np.unique sorts values; remap so ids follow first appearance.
-        order = np.zeros(inverse.max() + 1, dtype=np.int64)
-        seen = {}
-        for lab in inverse:
-            if lab not in seen:
-                seen[lab] = len(seen)
-        for lab, new in seen.items():
-            order[lab] = new
-        return cls(order[inverse])
+        _, first, inverse = np.unique(np.asarray(labels), return_index=True,
+                                      return_inverse=True)
+        # np.unique sorts values; rank each value by its first appearance.
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(rank[inverse])
 
     @property
     def n(self) -> int:
@@ -180,6 +175,10 @@ class DemandSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DemandSystem":
+        missing = [key for key in ("partition", "own", "within_beta", "background",
+                                   "base_prices", "base_quantities") if key not in d]
+        if missing:
+            raise ValueError(f"demand system is missing key(s): {', '.join(missing)}")
         partition = Partition(np.asarray(d["partition"], dtype=np.int64))
         elasticity = ElasticityStructure(
             own=np.asarray(d["own"], dtype=float),
@@ -322,10 +321,6 @@ def demand_at(system: DemandSystem, multipliers) -> np.ndarray:
 
 def dense_oracle(system: DemandSystem, multipliers) -> np.ndarray:
     """Brute-force demand via the materialized elasticity matrix (n <= 2000)."""
-    if system.n > DENSE_ORACLE_MAX_N:
-        raise ValueError(
-            f"dense_oracle is limited to n <= {DENSE_ORACLE_MAX_N}, got n={system.n}"
-        )
     mu = _check_multipliers(system, multipliers)
     e = system.elasticity.dense_matrix()
     return system.base_quantities * np.exp(e @ np.log(mu))

@@ -205,11 +205,11 @@ def _star(packed):
     return fn(*job)
 
 
-def _mc_estimates(system, strategy, policy, metric, p, master_seed, workers) -> np.ndarray:
+def _map_draws(chunk_fn, args: tuple, p: int, workers: int) -> list:
+    """Results of draws 0..p-1, in order: ``chunk_fn(*args, ks)`` over chunks ks."""
     chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
-    jobs = [(system, strategy, policy, metric, master_seed, ks) for ks in chunks if ks.size]
-    parts = _parallel_map(_estimate_chunk, jobs, workers)
-    return np.asarray([x for part in parts for x in part], dtype=float)
+    parts = _parallel_map(chunk_fn, [(*args, ks) for ks in chunks], workers)
+    return [x for part in parts for x in part]
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -249,7 +249,8 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    estimates = _mc_estimates(system, strategy, policy, metric, p, master_seed, workers)
+    estimates = np.asarray(_map_draws(_estimate_chunk, (system, strategy, policy, metric,
+                                                         master_seed), p, workers))
     gte = global_treatment_effect(system, policy, metric)
     seed = _seed_list(master_seed)[0]
     return _bias_report(estimates, gte, seed)
@@ -322,13 +323,8 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
         raise ValueError("p must be >= 2")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
-    jobs = [(system, strategy, policy, metric, seed, noise_sigma, ks)
-            for ks in chunks if ks.size]
-    parts = _parallel_map(_coverage_chunk, jobs, workers)
-    pairs = [x for part in parts for x in part]
-    aa = np.asarray([a for a, _ in pairs])
-    treated = np.asarray([t for _, t in pairs])
+    aa, treated = np.asarray(_map_draws(_coverage_chunk, (system, strategy, policy, metric,
+                                                          seed, noise_sigma), p, workers)).T
     gte = global_treatment_effect(system, policy, metric)
     aa_sd = float(aa.std(ddof=1))
     if aa_sd == 0.0:

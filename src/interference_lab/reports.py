@@ -96,7 +96,10 @@ def read_partition(path) -> Partition:
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}: malformed row at line {lineno}")
-            labels[int(row[0])] = int(row[1])
+            try:
+                labels[int(row[0])] = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: non-integer id at line {lineno}") from None
     if not labels:
         raise ValueError(f"{path}: empty partition file")
     if sorted(labels) != list(range(len(labels))):

@@ -95,6 +95,15 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_system_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text('{"n":2}')
+        code = run(["simulate", "--system", path, "--out", tmp_path / "o.csv"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "partition" in err[0]
+
 
 class TestSweep:
     def test_row_count_contract(self, tmp_path):

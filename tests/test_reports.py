@@ -90,3 +90,9 @@ class TestPartitionIO:
         path.write_text("article_id,cluster_id\n")
         with pytest.raises(ValueError, match="empty"):
             read_partition(path)
+
+    def test_rejects_non_integer_id(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("article_id,cluster_id\n0,0\nx,1\n")
+        with pytest.raises(ValueError, match=r"part\.csv: non-integer id at line 3"):
+            read_partition(path)
