@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,41 +23,21 @@ from . import clickstream, clustering, demand, experiment, metaexp, reports
 
 SEED_ENV_VAR = "INTERFERENCE_LAB_SEED"
 
-GENERATOR_FLAGS = {
-    "n": int,
-    "cluster_size_min": int,
-    "cluster_size_max": int,
-    "own_mean": float,
-    "own_spread": float,
-    "phi": float,
-    "phi_bg": float,
-    "price_min": float,
-    "price_max": float,
-    "quantity_min": float,
-    "quantity_max": float,
-}
+# GeneratorConfig field -> flag; the two shares go by the paper's names.
+GENERATOR_FLAGS = {f.name: f.name for f in fields(demand.GeneratorConfig)} | {
+    "within_share": "phi", "background_share": "phi_bg"}
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
-    for name, typ in GENERATOR_FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+    for name, flag in GENERATOR_FLAGS.items():
+        parser.add_argument(f"--{flag.replace('_', '-')}", default=None,
+                            type=type(getattr(demand.GeneratorConfig, name)))
 
 
 def _generator_config(args) -> demand.GeneratorConfig:
-    base = demand.GeneratorConfig()
-    return demand.GeneratorConfig(
-        n=_or(args.n, base.n),
-        cluster_size_min=_or(args.cluster_size_min, base.cluster_size_min),
-        cluster_size_max=_or(args.cluster_size_max, base.cluster_size_max),
-        own_mean=_or(args.own_mean, base.own_mean),
-        own_spread=_or(args.own_spread, base.own_spread),
-        within_share=_or(args.phi, base.within_share),
-        background_share=_or(args.phi_bg, base.background_share),
-        price_min=_or(args.price_min, base.price_min),
-        price_max=_or(args.price_max, base.price_max),
-        quantity_min=_or(args.quantity_min, base.quantity_min),
-        quantity_max=_or(args.quantity_max, base.quantity_max),
-    )
+    return demand.GeneratorConfig(**{name: getattr(args, flag)
+                                     for name, flag in GENERATOR_FLAGS.items()
+                                     if getattr(args, flag) is not None})
 
 
 def _or(value, default):
@@ -192,13 +173,22 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
         raise RuntimeError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(values, dict):
         raise RuntimeError(f"config file {args.config} must hold a JSON object")
-    known = set(vars(args)) - {"config", "command", "func"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     for key, value in values.items():
-        if key not in known:
+        if key not in actions:
             raise RuntimeError(f"config file {args.config}: unknown key '{key}'")
+        # Checked as the same text on the command line would be; usage errors exit 2.
+        action, text = actions[key], str(value)
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            command.error(f"config file {args.config}: invalid value for '{key}': {value!r}")
+        if action.choices is not None and value not in action.choices:
+            command.error(f"config file {args.config}: '{key}' must be one of "
+                          f"{', '.join(map(str, action.choices))}, not {value!r}")
         if getattr(args, key) is None:
-            if key in ("out", "system", "partition", "sessions", "infile"):
-                value = Path(value)
             setattr(args, key, value)
 
 

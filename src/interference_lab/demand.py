@@ -317,12 +317,11 @@ def demand_at(system: DemandSystem, multipliers) -> np.ndarray:
     e = system.elasticity
     c = e.partition.cluster_of
     logs = np.log(mu)
-    cluster_logsum = np.bincount(c, weights=logs, minlength=e.partition.n_clusters)
-    total_logsum = logs.sum()
+    logsum_c = np.bincount(c, weights=logs, minlength=e.partition.n_clusters)[c]
     exponent = (
         e.own * logs
-        + e.within[c] * (cluster_logsum[c] - logs)
-        + e.background * (total_logsum - cluster_logsum[c])
+        + e.within[c] * (logsum_c - logs)
+        + e.background * (logs.sum() - logsum_c)
     )
     return system.base_quantities * np.exp(exponent)
 
@@ -365,7 +364,10 @@ def outcome(system: DemandSystem, multipliers, metric: Metric, subset=None) -> f
 
 def global_treatment_effect(system: DemandSystem, policy: PricePolicy,
                             metric: Metric) -> float:
-    """Relative lift of rolling the policy out to every article."""
+    """Relative lift of rolling the policy out to every article; always finite."""
     mu = np.full(system.n, policy.treated_multiplier)
-    ones = np.ones(system.n)
-    return outcome(system, mu, metric) / outcome(system, ones, metric) - 1.0
+    gte = outcome(system, mu, metric) / outcome(system, np.ones(system.n), metric) - 1.0
+    if not np.isfinite(gte):
+        raise ValueError(f"the global treatment effect is not finite ({gte}): the policy "
+                         "is out of floating-point range for this system")
+    return gte

@@ -161,19 +161,21 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     """
     if assignment.n != system.n:
         raise ValueError("assignment length does not match the system")
-    t = assignment.treated
-    if not t.any() or t.all():
+    it, ic = assignment.treated_indices(), assignment.control_indices()
+    if it.size == 0 or ic.size == 0:
         raise ValueError("both treatment groups must be non-empty")
-    mu = np.where(t, policy.treated_multiplier, 1.0)
+    mu = np.ones(system.n)
+    mu[it] = policy.treated_multiplier
     q = demand_at(system, mu)
     if noise is not None:
         q = q * noise
     values = metric_values(system, mu, q, metric)
     bases = base_metric_values(system, metric)
-    treated_outcome = float(values[t].sum())
-    control_outcome = float(values[~t].sum())
-    treated_base = float(bases[t].sum())
-    control_base = float(bases[~t].sum())
+    # Index gathers keep numpy's pairwise summation; dot products or bincounts round otherwise.
+    treated_outcome = float(values[it].sum())
+    control_outcome = float(values[ic].sum())
+    treated_base = float(bases[it].sum())
+    control_base = float(bases[ic].sum())
     lift = (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
     return Estimate(lift, treated_outcome, control_outcome, treated_base, control_base)
 
@@ -184,12 +186,25 @@ def _seed_list(master_seed) -> list[int]:
     return [int(s) for s in master_seed]
 
 
-def _estimate_chunk(system, strategy, policy, metric, master, ks) -> list[float]:
+def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple]:
+    """Lifts of draws ks, one per experiment ``(policy, stream, sigma)`` in each.
+
+    Without a stream, draw k assigns from the RNG seeded ``[*master, k]``. With
+    stream s, it assigns from ``[*master, k, s]`` and multiplies realized
+    quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, s + 1]``.
+    """
     out = []
     for k in ks:
-        rng = np.random.default_rng(_seed_list(master) + [int(k)])
-        a = assign(strategy, system.n, rng)
-        out.append(run_experiment(system, a, policy, metric).lift)
+        lifts = []
+        for policy, stream, sigma in experiments:
+            seed, noise = [*master, int(k)], None
+            if stream is not None:
+                noise_rng = np.random.default_rng(seed + [stream + 1])
+                noise = np.exp(noise_rng.normal(0.0, sigma, system.n))
+                seed.append(stream)
+            a = assign(strategy, system.n, np.random.default_rng(seed))
+            lifts.append(run_experiment(system, a, policy, metric, noise=noise).lift)
+        out.append(tuple(lifts))
     return out
 
 
@@ -205,11 +220,16 @@ def _star(packed):
     return fn(*job)
 
 
-def _map_draws(chunk_fn, args: tuple, p: int, workers: int) -> list:
-    """Results of draws 0..p-1, in order: ``chunk_fn(*args, ks)`` over chunks ks."""
+def _map_draws(system, strategy, metric, master, experiments, p: int,
+               workers: int) -> np.ndarray:
+    """Lifts of draws 0..p-1 of each experiment, one row per experiment."""
     chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
-    parts = _parallel_map(chunk_fn, [(*args, ks) for ks in chunks], workers)
-    return [x for part in parts for x in part]
+    jobs = [(system, strategy, metric, master, experiments, ks) for ks in chunks]
+    lifts = np.asarray([x for part in _parallel_map(_draw_chunk, jobs, workers) for x in part])
+    if not np.isfinite(lifts).all():
+        raise ValueError("an experiment estimate is not finite: the policy is out of "
+                         "floating-point range for this system")
+    return lifts.T
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -249,11 +269,11 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    estimates = np.asarray(_map_draws(_estimate_chunk, (system, strategy, policy, metric,
-                                                         master_seed), p, workers))
     gte = global_treatment_effect(system, policy, metric)
-    seed = _seed_list(master_seed)[0]
-    return _bias_report(estimates, gte, seed)
+    master = _seed_list(master_seed)
+    (estimates,) = _map_draws(system, strategy, metric, master, [(policy, None, None)],
+                              p, workers)
+    return _bias_report(estimates, gte, master[0])
 
 
 def mc_standard_error(report: BiasReport) -> float:
@@ -292,22 +312,6 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
     return rows
 
 
-def _coverage_chunk(system, strategy, policy, metric, seed, sigma, ks) -> list[tuple]:
-    null_policy = PricePolicy(1.0)
-    out = []
-    for k in ks:
-        aa_rng = np.random.default_rng([seed, int(k), 0])
-        aa_noise = np.exp(np.random.default_rng([seed, int(k), 1]).normal(0.0, sigma, system.n))
-        aa = run_experiment(system, assign(strategy, system.n, aa_rng),
-                            null_policy, metric, noise=aa_noise).lift
-        tr_rng = np.random.default_rng([seed, int(k), 2])
-        tr_noise = np.exp(np.random.default_rng([seed, int(k), 3]).normal(0.0, sigma, system.n))
-        tr = run_experiment(system, assign(strategy, system.n, tr_rng),
-                            policy, metric, noise=tr_noise).lift
-        out.append((aa, tr))
-    return out
-
-
 def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
                       policy: PricePolicy, metric: Metric, p: int, seed: int,
                       noise_sigma: float = 0.05, workers: int = 1) -> CoverageReport:
@@ -323,9 +327,9 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
         raise ValueError("p must be >= 2")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    aa, treated = np.asarray(_map_draws(_coverage_chunk, (system, strategy, policy, metric,
-                                                          seed, noise_sigma), p, workers)).T
     gte = global_treatment_effect(system, policy, metric)
+    runs = [(PricePolicy(1.0), 0, noise_sigma), (policy, 2, noise_sigma)]
+    aa, treated = _map_draws(system, strategy, metric, [seed], runs, p, workers)
     aa_sd = float(aa.std(ddof=1))
     if aa_sd == 0.0:
         return CoverageReport(aa_sd=0.0, coverage_rate=float("nan"),

@@ -64,6 +64,19 @@ class TestGen:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("command", ["simulate", "coverage"])
+    @pytest.mark.parametrize("multiplier,quantity", [("1e-300", "global treatment effect"),
+                                                     ("1e-110", "experiment estimate")])
+    def test_non_finite_result_is_runtime_error(self, system_path, tmp_path, capsys,
+                                                command, multiplier, quantity):
+        out = tmp_path / "o.csv"
+        assert run([command, "--system", system_path, "--multiplier", multiplier,
+                    "--p", "10", "--workers", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and quantity in errors[0]
+        assert "Traceback" not in err and not out.exists()
+
     def test_writes_bias_csv(self, system_path, tmp_path):
         out = tmp_path / "bias.csv"
         assert run(["simulate", "--system", system_path, "--p", "30",
@@ -205,6 +218,26 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"frobnicate": 1}))
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_values_are_converted_like_flags(self, system_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "10", "metric": "units"}))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--config", cfg, "--system", system_path,
+                    "--workers", "1", "--out", out]) == 0
+        assert read_rows(out)[1][BIAS_HEADER.index("p")] == "10"
+
+    @pytest.mark.parametrize("values,message", [({"p": "ten"}, "invalid value for 'p'"),
+                                                ({"p": 2.5}, "invalid value for 'p'"),
+                                                ({"metric": "profit"}, "'metric' must be one of")])
+    def test_bad_value_is_usage_error(self, system_path, tmp_path, capsys, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--config", cfg, "--system", system_path,
+                 "--out", tmp_path / "o.csv"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

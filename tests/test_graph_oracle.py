@@ -16,6 +16,7 @@ from interference_lab import (
     Assignment,
     Partition,
     Session,
+    SessionGraph,
     build_graph,
     exposure_share,
     louvain,
@@ -182,3 +183,37 @@ def test_modularity_matches_networkx(sessions, labels, gamma):
                    for c in range(part.n_clusters)]
     expected = nx.community.modularity(nxg, communities, resolution=gamma)
     assert modularity(g, part, gamma) == pytest.approx(expected, abs=1e-12)
+
+
+
+# 39 co-view edges on 40 articles, shrunk from a hypothesis-style random draw.
+DISCONNECTED_EDGES = [
+    (0, 15), (0, 28), (2, 10), (2, 12), (2, 27), (2, 33), (4, 10), (4, 15), (4, 16), (4, 18),
+    (4, 29), (4, 33), (5, 6), (5, 27), (5, 33), (7, 23), (9, 10), (9, 26), (10, 16), (10, 31),
+    (11, 22), (12, 16), (15, 18), (15, 25), (15, 31), (15, 33), (16, 22), (16, 29), (17, 26),
+    (18, 33), (19, 35), (22, 25), (22, 29), (22, 31), (23, 29), (25, 31), (25, 32), (25, 33),
+    (32, 33)]
+
+
+def test_louvain_can_return_a_disconnected_cluster():
+    """Louvain clusters are not always connected (Traag et al. 2019, arXiv:1810.08473).
+
+    At gamma 0.5 and seed 13638 the cluster {0, 5, 6, 27, 28} is two pieces,
+    {0, 28} and {5, 6, 27}, with no co-view edge between them.
+    The dict reference does the same, so the algorithm is at fault, not the
+    array code; splitting the cluster into its pieces raises Q.
+    """
+    nx = pytest.importorskip("networkx")
+    g = SessionGraph(N, edges={e: 1 for e in DISCONNECTED_EDGES})
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(N))
+    nxg.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
+    part = louvain(g, 0.5, 13638)
+    np.testing.assert_array_equal(part.cluster_of, reference_louvain(g, 0.5, 13638).cluster_of)
+    disconnected = [c for c in range(part.n_clusters)
+                    if not nx.is_connected(nxg.subgraph(np.flatnonzero(part.cluster_of == c)))]
+    members = [np.flatnonzero(part.cluster_of == c).tolist() for c in disconnected]
+    assert members == [[0, 5, 6, 27, 28]]
+    split = part.cluster_of.copy()
+    split[[5, 6, 27]] = part.n_clusters
+    assert modularity(g, Partition(split), 0.5) > modularity(g, part, 0.5)
