@@ -179,8 +179,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     for key, value in values.items():
         if key not in actions:
             raise RuntimeError(f"config file {args.config}: unknown key '{key}'")
+        action = actions[key]
+        if isinstance(action, argparse._StoreTrueAction):
+            # A switch defaults to False, not None: the file sets it unless the flag did.
+            if not isinstance(value, bool):
+                command.error(f"config file {args.config}: '{key}' must be true or false, "
+                              f"not {value!r}")
+            setattr(args, key, getattr(args, key) or value)
+            continue
         # Checked as the same text on the command line would be; usage errors exit 2.
-        action, text = actions[key], str(value)
+        text = str(value)
         try:
             value = action.type(text) if action.type else text
         except (TypeError, ValueError):

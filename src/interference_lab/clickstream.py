@@ -199,21 +199,26 @@ def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
     return SessionGraph(n=n, edges=dict(edges))
 
 
-def exposure_share(sessions: list[Session], assignment: Assignment) -> ExposureReport:
-    """Classify each session by the set of treatment labels it saw."""
+def _covered_csr(sessions: list[Session], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sessions' CSR view, checked to view only articles 0..n-1."""
     if not sessions:
         raise ValueError("sessions must be non-empty")
     indptr, article = _csr(sessions)
-    uncovered = (article < 0) | (article >= assignment.n)
+    uncovered = (article < 0) | (article >= n)
     if uncovered.any():
         at = int(uncovered.argmax())
         s = sessions[int(np.searchsorted(indptr, at, side="right")) - 1]
         raise ValueError(f"session {s.session_id}: article {article[at]} not covered "
                          "by the assignment")
-    treated = assignment.treated[article]
-    any_treated = np.logical_or.reduceat(treated, indptr[:-1])
-    all_treated = np.logical_and.reduceat(treated, indptr[:-1])
-    count = len(sessions)
+    return indptr, article
+
+
+def _exposure(indptr: np.ndarray, article: np.ndarray, treated: np.ndarray) -> ExposureReport:
+    """Exposure of the CSR sessions (``indptr``, ``article``) under per-article labels."""
+    seen = treated[article]
+    any_treated = np.logical_or.reduceat(seen, indptr[:-1])
+    all_treated = np.logical_and.reduceat(seen, indptr[:-1])
+    count = indptr.size - 1
     both = int((any_treated & ~all_treated).sum())
     t_only = int(all_treated.sum())
     c_only = count - both - t_only
@@ -223,3 +228,8 @@ def exposure_share(sessions: list[Session], assignment: Assignment) -> ExposureR
         share_control_only=c_only / count,
         session_count=count,
     )
+
+
+def exposure_share(sessions: list[Session], assignment: Assignment) -> ExposureReport:
+    """Classify each session by the set of treatment labels it saw."""
+    return _exposure(*_covered_csr(sessions, assignment.n), assignment.treated)

@@ -12,6 +12,9 @@ splits true clusters (see ``frontier``).
 Both read the graph's ``src``/``dst``/``w`` edge arrays. A Louvain level is
 such an edge list, with self-loops holding each node's internal weight.
 Weights are integer counts, so no move decision depends on summation order.
+Local moving skips a node whose last visit found no move until a community
+it read gains or loses a node, since until then its inputs and so its
+verdict are unchanged; partitions are those of visiting every node.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clickstream import Session, SessionGraph, build_graph, exposure_share
+# exposure_share is not called here; perfbench/tests/test_tracing.py checks this binding.
+from .clickstream import (  # noqa: F401
+    Session,
+    SessionGraph,
+    _covered_csr,
+    _exposure,
+    build_graph,
+    exposure_share,
+)
 from .demand import DemandSystem, Metric, Partition, PricePolicy
 from .experiment import (
     BiasReport,
@@ -71,23 +82,43 @@ def modularity(graph: SessionGraph, partition: Partition, gamma: float = 1.0) ->
 
 def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: float,
                 gamma: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One local-moving phase over a level's k nodes; returns (community per node, any_move)."""
+    """One local-moving phase over a level's k nodes; returns (community per node, any_move).
+
+    Passes skip stable nodes without changing any move. A visit's verdict
+    depends only on the node's community, its neighbours' communities (which
+    give ``links``), ``sigma_tot`` of the communities those name, ``d_i``,
+    ``m`` and ``gamma``. Weights are integer counts and ``links`` is summed in
+    a fixed order, so the same inputs give the same verdict. A node whose
+    visit found no move is stable until a community it read (its own or a
+    neighbour's) gains or loses a node; a neighbour's move is such a change,
+    since the neighbour leaves a community the node read. Each pass still
+    draws its permutation, so the RNG stream, the pass count and every move
+    are those of visiting every node.
+    """
     strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
     # CSR adjacency over both directions of every edge except self-loops
     link = src != dst
     tail = np.concatenate([src[link], dst[link]])
     order = np.argsort(tail, kind="stable")
     ptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=k))]).tolist()
-    nbr = np.concatenate([dst[link], src[link]])[order].tolist()
+    # One int object per node, shared by the lists below; fresh ints per
+    # list entry would cost 32 bytes each.
+    node = np.arange(k, dtype=object)
+    nbr = node[np.concatenate([dst[link], src[link]])[order]].tolist()
     nbr_w = np.concatenate([w[link], w[link]])[order].tolist()
-    comm = list(range(k))
+    comm = node.tolist()
     sigma_tot = strength.copy()
     two_m2 = 2.0 * m * m
+    stable = [False] * k
+    # watchers[c]: nodes found stable while reading sigma_tot[c]
+    watchers: list[list[int]] = [[] for _ in range(k)]
 
     any_move = False
     while True:
         moved_this_pass = False
-        for i in rng.permutation(k).tolist():
+        for i in node[rng.permutation(k)].tolist():
+            if stable[i]:
+                continue
             current = comm[i]
             d_i = strength[i]
             # weight from i into each neighboring community
@@ -111,6 +142,16 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
                 comm[i] = best_comm
                 moved_this_pass = True
                 any_move = True
+                for c in (current, best_comm):
+                    for j in watchers[c]:
+                        stable[j] = False
+                    watchers[c] = []
+            else:
+                stable[i] = True
+                watchers[current].append(i)
+                for c in links:
+                    if c != current:
+                        watchers[c].append(i)
         if not moved_this_pass:
             break
     return np.array(comm), any_move
@@ -165,6 +206,7 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     between draws, and with it the substitution between arms.
     """
     graph = build_graph(sessions, n=system.n)
+    indptr, article = _covered_csr(sessions, system.n)
     points = []
     for idx, gamma in sorted(enumerate(gammas), key=lambda t: t[1]):
         part = louvain(graph, gamma, seed)
@@ -181,7 +223,8 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
         shares = []
         for d in range(exposure_draws):
             rng = np.random.default_rng([seed, idx, 1, d])
-            shares.append(exposure_share(sessions, assign(strategy, system.n, rng)).share_both)
+            treated = assign(strategy, system.n, rng).treated
+            shares.append(_exposure(indptr, article, treated).share_both)
         shares = np.asarray(shares)
         report: BiasReport = monte_carlo_bias(system, strategy, policy, metric, p,
                                               master_seed=[seed, idx, 2], workers=workers)

@@ -16,6 +16,8 @@ a brute-force cross-check.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,6 +25,27 @@ from pathlib import Path
 import numpy as np
 
 DENSE_ORACLE_MAX_N = 2000
+
+
+@contextmanager
+def atomic_write(path):
+    """Text file handle whose contents replace ``path`` only when the block completes.
+
+    The text goes to a temporary file beside ``path`` that ``os.replace`` then
+    moves over it, so a writer that fails or is interrupted leaves the
+    previous file (or none), never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        # Name the target, not the temporary file.
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class Metric(Enum):
@@ -196,10 +219,9 @@ class DemandSystem:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True) + "\n"
+        with atomic_write(path) as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "DemandSystem":

@@ -240,16 +240,21 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
 
 
 def _bias_report(estimates: np.ndarray, gte: float, seed: int) -> BiasReport:
-    mean_est = float(estimates.mean())
-    sd = float(estimates.std(ddof=1))
+    # Finite estimates can still sum or square past the float range.
+    with np.errstate(over="ignore"):
+        mean_est = float(estimates.mean())
+        sd = float(estimates.std(ddof=1))
     absolute = abs(gte) < GTE_ABS_FLOOR
     denom = 1.0 if absolute else abs(gte)
+    summary = {"mean_estimate": mean_est, "mean_bias": (mean_est - gte) / denom,
+               "sd_estimate": sd, "relative_sd": sd / denom}
+    overflow = [name for name, value in summary.items() if not math.isfinite(value)]
+    if overflow:
+        raise ValueError(f"the Monte-Carlo summary overflows ({', '.join(overflow)} not "
+                         "finite): the policy is out of floating-point range for this system")
     return BiasReport(
         gte=gte,
-        mean_estimate=mean_est,
-        mean_bias=(mean_est - gte) / denom,
-        sd_estimate=sd,
-        relative_sd=sd / denom,
+        **summary,
         q05=nearest_rank_quantile(estimates, 0.05),
         q50=nearest_rank_quantile(estimates, 0.50),
         q95=nearest_rank_quantile(estimates, 0.95),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
-from .demand import Partition
+from .demand import Partition, atomic_write
 from .experiment import BiasReport, CoverageReport, SweepRow
 from .metaexp import MetaComparison, MetaExperimentInput
 
@@ -38,7 +38,7 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -52,6 +52,12 @@ class TestGen:
         assert run(["gen", *GEN_SMALL, "--seed", "3", "--out", system_path,
                     "--force"]) == 0
 
+    def test_unwritable_out_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sys.json"
+        assert run(["gen", *GEN_SMALL, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["gen", *GEN_SMALL])
@@ -75,6 +81,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and quantity in errors[0]
+        assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_spread_is_runtime_error(self, tmp_path, capsys):
+        system, out = tmp_path / "s.json", tmp_path / "o.csv"
+        assert run(["gen", "--n", "200", "--seed", "1", "--out", system]) == 0
+        assert run(["simulate", "--system", system, "--multiplier", "1e-104",
+                    "--p", "10", "--workers", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "sd_estimate" in errors[0]
         assert "Traceback" not in err and not out.exists()
 
     def test_writes_bias_csv(self, system_path, tmp_path):
@@ -238,6 +254,22 @@ class TestConfigFile:
                  "--out", tmp_path / "o.csv"])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_force_from_file_overwrites(self, system_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"force": True}))
+        assert run(["gen", *GEN_SMALL, "--seed", "4", "--config", cfg,
+                    "--out", system_path]) == 0
+        assert DemandSystem.load(system_path).seed == 4
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_non_boolean_switch_is_usage_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"force": value}))
+        with pytest.raises(SystemExit) as exc:
+            run(["gen", *GEN_SMALL, "--config", cfg, "--out", tmp_path / "x.json"])
+        assert exc.value.code == 2
+        assert "'force' must be true or false" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 
 from interference_lab import (
     Assignment,
+    ClusterLevel,
+    GeneratorConfig,
+    Metric,
     Partition,
+    PricePolicy,
     Session,
     SessionGraph,
+    assign,
     build_graph,
     exposure_share,
+    frontier,
+    generate_demand_system,
+    generate_sessions,
     louvain,
     modularity,
 )
@@ -166,6 +174,37 @@ def test_louvain_matches_dict_reference(sessions, seed, gamma):
     assume(g.total_weight > 0)
     np.testing.assert_array_equal(louvain(g, gamma, seed).cluster_of,
                                   reference_louvain(g, gamma, seed).cluster_of)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
+def test_louvain_matches_dict_reference_on_synthesized_graphs(gamma, seed):
+    """Graphs big enough for local moving to run many passes.
+
+    On these graphs a third to a half of all node visits find the node
+    stable and skip it, a case the 40-article graphs above rarely reach.
+    """
+    system = generate_demand_system(GeneratorConfig(n=2000), seed)
+    g = build_graph(generate_sessions(system.partition, 6000, 2, 5, 0.9, seed), n=2000)
+    np.testing.assert_array_equal(louvain(g, gamma, seed).cluster_of,
+                                  reference_louvain(g, gamma, seed).cluster_of)
+
+
+def test_frontier_share_both_is_the_mean_exposure_share():
+    system = generate_demand_system(GeneratorConfig(n=300), 5)
+    sessions = generate_sessions(system.partition, 900, 2, 5, 0.8, 5)
+    gammas, seed, draws = [4.0, 0.5], 5, 6
+    points = frontier(system, sessions, gammas, PricePolicy(), Metric.REVENUE, p=4,
+                      seed=seed, exposure_draws=draws)
+    graph = build_graph(sessions, n=system.n)
+    for idx, gamma in enumerate(gammas):
+        strategy = ClusterLevel(louvain(graph, gamma, seed))
+        shares = [exposure_share(sessions, assign(strategy, system.n,
+                                                  np.random.default_rng([seed, idx, 1, d])))
+                  .share_both for d in range(draws)]
+        (point,) = [pt for pt in points if pt.resolution == gamma]
+        assert point.share_both == float(np.mean(shares))
+        assert point.share_both_sd == float(np.std(shares, ddof=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,6 +41,20 @@ class TestWriteCsv:
         assert b"\r" not in raw
         assert raw.decode().splitlines()[0] == "a,b"
 
+    def test_failing_writer_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a"], [[1]])
+        before = path.read_bytes()
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("writer interrupted")
+
+        with pytest.raises(RuntimeError, match="writer interrupted"):
+            write_csv(path, ["a"], [[2], [Unprintable()]])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_byte_stable(self, tmp_path):
         rows = [[1 / 3, "x"], [float("nan"), "y"]]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
