@@ -232,10 +232,7 @@ def _strategy(args, system: demand.DemandSystem | None):
     return experiment.ClusterLevel(system.partition)
 
 
-def _resolve_sessions(args, seed: int, partition: demand.Partition | None,
-                      n_articles: int | None) -> list[clickstream.Session]:
-    if args.sessions is not None:
-        return clickstream.read_sessions(args.sessions, n_articles)
+def _synthesized(args, seed: int, partition: demand.Partition | None):
     if args.n_sessions is None:
         raise RuntimeError("provide --sessions or --n-sessions for synthesis")
     if partition is None:
@@ -248,6 +245,17 @@ def _resolve_sessions(args, seed: int, partition: demand.Partition | None,
         purity=_or(args.purity, 0.9),
         seed=seed,
     )
+
+
+def _session_csr(args, seed: int, partition: demand.Partition | None,
+                 n_articles: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, article) of the clickstream CSV, or of the synthesized sessions."""
+    if args.sessions is None:
+        return clickstream._csr(_synthesized(args, seed, partition))
+    ids, indptr, article = clickstream._read_csr(args.sessions, n_articles)
+    if not ids:
+        raise RuntimeError(f"{args.sessions}: no sessions")
+    return indptr, article
 
 
 def _synthesis_partition(args) -> tuple[demand.Partition | None, int | None,
@@ -306,8 +314,7 @@ def cmd_sweep(args) -> None:
 def cmd_cluster(args) -> None:
     seed = _resolve_seed(args)
     part, n, _system = _synthesis_partition(args)
-    sessions = _resolve_sessions(args, seed, part, n)
-    graph = clickstream.build_graph(sessions, n=n)
+    graph = clickstream._graph(*_session_csr(args, seed, part, n), n)
     result = clustering.louvain(graph, gamma=_or(args.gamma, 1.0), seed=seed)
     reports.write_partition(args.out, result)
 
@@ -315,9 +322,9 @@ def cmd_cluster(args) -> None:
 def cmd_exposure(args) -> None:
     seed = _resolve_seed(args)
     part, n, system = _synthesis_partition(args)
-    sessions = _resolve_sessions(args, seed, part, n)
+    indptr, article = _session_csr(args, seed, part, n)
     if n is None:
-        n = max(max(s.viewed) for s in sessions) + 1
+        n = int(article.max()) + 1
     if args.strategy == "article":
         strategy = experiment.ArticleLevel()
     elif part is not None:
@@ -325,7 +332,8 @@ def cmd_exposure(args) -> None:
     else:
         raise RuntimeError("cluster strategy needs --partition or --system")
     assignment = experiment.assign(strategy, n, np.random.default_rng([seed, 1]))
-    reports.write_exposure(args.out, clickstream.exposure_share(sessions, assignment))
+    reports.write_exposure(args.out,
+                           clickstream._exposure(indptr, article, assignment.treated))
 
 
 def cmd_frontier(args) -> None:
@@ -333,7 +341,8 @@ def cmd_frontier(args) -> None:
     system = demand.DemandSystem.load(args.system)
     part = (reports.read_partition(args.partition) if args.partition
             else system.partition)
-    sessions = _resolve_sessions(args, seed, part, system.n)
+    sessions = (clickstream.read_sessions(args.sessions, system.n) if args.sessions
+                else _synthesized(args, seed, part))
     gammas = _parse_floats(_or(args.gammas, "0.25,0.5,1,2,4,8"), "gamma")
     points = clustering.frontier(
         system, sessions, gammas, _policy(args), _metric(args),
@@ -366,7 +375,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, args)
         args.func(args)
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

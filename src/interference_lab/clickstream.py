@@ -8,15 +8,20 @@ clustering.
 
 Internally a graph is held as ``src``/``dst``/``w`` edge arrays and a session
 list as a CSR view (``indptr``, ``article``). Weights are integer counts, so
-every weight sum is exact whatever its order.
+every weight sum is exact whatever its order. The CLI reads a clickstream
+CSV straight into the CSR view and never materializes ``Session`` objects;
+``read_sessions``, ``build_graph`` and ``exposure_share`` are adapters over
+the array cores for library callers.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import logging
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,32 +42,42 @@ class Session:
             raise ValueError("a session must view at least one article")
 
 
-@dataclass(frozen=True)
 class SessionGraph:
-    """Weighted undirected co-view graph; keys are (i, j) with i < j, mirrored in src/dst/w."""
+    """Weighted undirected co-view graph: edge e joins ``src[e] < dst[e]`` with weight ``w[e]``.
 
-    n: int
-    edges: dict[tuple[int, int], int]
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    w: np.ndarray = field(init=False, repr=False, compare=False)
+    ``SessionGraph(n, edges)`` takes a ``{(i, j): w}`` dict; any graph builds
+    that dict from its arrays when ``edges`` is first read.
+    """
 
-    def __post_init__(self):
-        ij = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        src, dst = ij[:, 0], ij[:, 1]
+    def __init__(self, n: int, edges: dict[tuple[int, int], int]):
+        ij = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         # Integer counts keep an integer dtype, so every sum of them is exact.
-        w = np.array(list(self.edges.values()))
+        self._set(n, ij[:, 0], ij[:, 1], np.array(list(edges.values())))
+
+    @classmethod
+    def _from_arrays(cls, n, src, dst, w) -> SessionGraph:
+        graph = cls.__new__(cls)
+        graph._set(n, src, dst, w)
+        return graph
+
+    def _set(self, n, src, dst, w) -> None:
         if (src == dst).any():
             raise ValueError("self-loops are not allowed")
-        bad = (src < 0) | (src >= dst) | (dst >= self.n)
+        bad = (src < 0) | (src >= dst) | (dst >= n)
         if bad.any():
-            i, j = ij[bad.argmax()]
-            raise ValueError(f"edge ({i},{j}) out of range or unordered")
+            raise ValueError(f"edge ({src[bad.argmax()]},{dst[bad.argmax()]}) "
+                             "out of range or unordered")
         if (w < 1).any():
             raise ValueError("edge weights must be >= 1")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "w", w)
+        self.n, self.src, self.dst, self.w = n, src, dst, w
+
+    @functools.cached_property
+    def edges(self) -> dict[tuple[int, int], int]:
+        # Keys share one int object per node; fresh ints per edge end would
+        # cost another 64 bytes per edge.
+        node = np.arange(self.n, dtype=object)
+        return dict(zip(zip(node[self.src].tolist(), node[self.dst].tolist()),
+                        self.w.tolist()))
 
     @property
     def total_weight(self) -> float:
@@ -118,22 +133,22 @@ def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
             for i, (start, end) in enumerate(zip([0] + ends, ends))]
 
 
-def read_sessions(path, n_articles: int | None = None) -> list[Session]:
-    """Read sessions from a CSV with header ``session_id,article_id``.
+def _read_csr(path, n_articles: int | None = None
+              ) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
+    """(session_ids, indptr, article) of the rows ``read_sessions`` reads.
 
-    Rows with the same session_id aggregate into one deduplicated session;
-    session order follows first appearance. Malformed rows and out-of-range
-    article ids raise with the offending line number.
+    Session s viewed ``article[indptr[s]:indptr[s + 1]]``, in ascending order;
+    session_ids is None for an empty file.
     """
     path = Path(path)
-    grouped: dict[str, set[int]] = {}
+    codes: dict[str, int] = {}
+    code, article = array("q"), array("q")
+    # Ids must fit in int64 even when no article count is declared.
+    limit = 2**63 if n_articles is None else n_articles
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            logger.warning("empty clickstream file %s", path)
-            return []
-        if [h.strip() for h in header] != ["session_id", "article_id"]:
+        if header is not None and [h.strip() for h in header] != ["session_id", "article_id"]:
             raise ValueError(f"{path}: expected header 'session_id,article_id'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -142,17 +157,37 @@ def read_sessions(path, n_articles: int | None = None) -> list[Session]:
                 raise ValueError(f"{path}: malformed row at line {lineno}")
             sid, raw = row
             try:
-                article = int(raw)
+                a = int(raw)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-integer article_id at line {lineno}"
                 ) from None
-            if article < 0 or (n_articles is not None and article >= n_articles):
-                raise ValueError(f"{path}: unknown article id {article} at line {lineno}")
-            grouped.setdefault(sid, set()).add(article)
-    if not grouped:
-        logger.warning("clickstream file %s contains no rows", path)
-    return [Session(sid, frozenset(v)) for sid, v in grouped.items()]
+            if not 0 <= a < limit:
+                raise ValueError(f"{path}: unknown article id {a} at line {lineno}")
+            code.append(codes.setdefault(sid, len(codes)))
+            article.append(a)
+    # One sort dedups the rows and groups them by session; ranking the ids
+    # first keeps the (session, rank) key far below 2**63.
+    ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
+    key = np.unique(np.frombuffer(code, dtype=np.int64) * ids.size + rank)
+    indptr = np.searchsorted(key, np.arange(len(codes) + 1) * ids.size)
+    return (None if header is None else list(codes)), indptr, ids[key % ids.size]
+
+
+def read_sessions(path, n_articles: int | None = None) -> list[Session]:
+    """Read sessions from a CSV with header ``session_id,article_id``.
+
+    Rows with the same session_id aggregate into one deduplicated session;
+    session order follows first appearance. Malformed rows and out-of-range
+    article ids raise with the offending line number.
+    """
+    ids, indptr, article = _read_csr(path, n_articles)
+    if not ids:
+        logger.warning("empty clickstream file %s" if ids is None
+                       else "clickstream file %s contains no rows", path)
+    starts, views = indptr.tolist(), article.tolist()
+    return [Session(sid, frozenset(views[a:b]))
+            for sid, a, b in zip(ids or [], starts, starts[1:])]
 
 
 def write_sessions(sessions: list[Session], path) -> None:
@@ -173,11 +208,10 @@ def _csr(sessions: list[Session]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, article
 
 
-def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
-    """Co-view graph: each session adds weight 1 to every pair it viewed."""
-    if not sessions:
+def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> SessionGraph:
+    """Co-view graph of the CSR sessions (``indptr``, ``article``)."""
+    if indptr.size < 2:
         raise ValueError("sessions must be non-empty")
-    indptr, article = _csr(sessions)
     max_seen = int(article.max())
     if n is None:
         n = max_seen + 1
@@ -192,11 +226,12 @@ def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
         i, j = views[:, a], views[:, b]
         keys.append((np.minimum(i, j) * n + np.maximum(i, j)).ravel())
     pairs, counts = np.unique(np.concatenate(keys), return_counts=True)
-    # Keys share one int object per node; fresh ints per edge end would
-    # cost another 64 bytes per edge.
-    node = np.arange(n, dtype=object)
-    edges = zip(zip(node[pairs // n].tolist(), node[pairs % n].tolist()), counts.tolist())
-    return SessionGraph(n=n, edges=dict(edges))
+    return SessionGraph._from_arrays(n, pairs // n, pairs % n, counts)
+
+
+def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
+    """Co-view graph: each session adds weight 1 to every pair it viewed."""
+    return _graph(*_csr(sessions), n)
 
 
 def _covered_csr(sessions: list[Session], n: int) -> tuple[np.ndarray, np.ndarray]:

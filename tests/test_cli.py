@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from interference_lab import DemandSystem, cli
+from interference_lab import DemandSystem, cli, generate_sessions
+from interference_lab.clickstream import write_sessions
 from interference_lab.reports import (
     BIAS_HEADER,
     COVERAGE_HEADER,
@@ -175,6 +176,53 @@ class TestExposure:
         assert rows[0] == EXPOSURE_HEADER
         shares = [float(x) for x in rows[1][:3]]
         assert sum(shares) == pytest.approx(1.0)
+
+
+class TestSessionsFile:
+    """``cluster`` and ``exposure`` reading a clickstream CSV with ``--sessions``."""
+
+    @pytest.mark.parametrize("command", [["cluster", "--gamma", "0.8"], ["exposure"],
+                                         ["exposure", "--strategy", "article"]])
+    def test_written_sessions_give_the_bytes_of_synthesis(self, system_path, tmp_path,
+                                                          command):
+        sessions = generate_sessions(DemandSystem.load(system_path).partition,
+                                     2000, 2, 5, 0.9, seed=6)
+        clicks = tmp_path / "clicks.csv"
+        write_sessions(sessions, clicks)
+        synthesized, from_file = tmp_path / "synth.csv", tmp_path / "file.csv"
+        assert run([*command, "--system", system_path, "--n-sessions", "2000",
+                    "--seed", "6", "--out", synthesized]) == 0
+        assert run([*command, "--system", system_path, "--sessions", clicks,
+                    "--seed", "6", "--out", from_file]) == 0
+        assert from_file.read_bytes() == synthesized.read_bytes()
+
+    @pytest.mark.parametrize("command", [["cluster"], ["exposure", "--strategy", "article"]])
+    @pytest.mark.parametrize("rows,declared,message", [
+        ("a,1\nb\n", True, "malformed row at line 3"),
+        ("a,x\n", True, "non-integer article_id at line 2"),
+        ("a,1\na,80\n", True, "unknown article id 80 at line 3"),
+        (f"a,1\nb,{2**63}\n", False, f"unknown article id {2**63} at line 3"),
+        (f"a,1\nb,{2**62}\n", False, ""),
+        ("", False, "no sessions"),
+        ("", True, "no sessions"),
+    ])
+    def test_malformed_file_is_one_error_line(self, system_path, tmp_path, capsys,
+                                              command, rows, declared, message):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text(f"session_id,article_id\n{rows}")
+        system = ["--system", system_path] if declared else []
+        assert run([*command, *system, "--sessions", clicks,
+                    "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", [["cluster"], ["exposure", "--strategy", "article"]])
+    def test_empty_file_is_one_error_line(self, tmp_path, capsys, command):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text("")
+        assert run([*command, "--sessions", clicks, "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {clicks}: no sessions\n"
 
 
 class TestFrontier:

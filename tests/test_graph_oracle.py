@@ -4,12 +4,16 @@ The per-edge and per-session loops that the array code replaced are kept here
 as references; every weight is an integer count, so results must be equal.
 """
 
+import csv
+import io
 import itertools
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
@@ -29,7 +33,9 @@ from interference_lab import (
     generate_sessions,
     louvain,
     modularity,
+    read_sessions,
 )
+from interference_lab.clickstream import _read_csr
 
 N = 40
 # Short sessions (including single views) mixed with sessions of 30+ views.
@@ -119,7 +125,30 @@ def reference_louvain(graph, gamma, seed):
         membership = new_comm[membership]
         if k <= 1:
             break
-    return Partition.from_labels(membership)
+    return reference_split(graph, membership)
+
+
+def reference_split(graph, labels):
+    """Each cluster split into its connected pieces by breadth-first search.
+
+    A piece is labelled by its lowest node, then renumbered by first appearance.
+    """
+    nbrs = [[] for _ in range(graph.n)]
+    for i, j in graph.edges:
+        if labels[i] == labels[j]:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    piece = [-1] * graph.n
+    for start in range(graph.n):
+        if piece[start] < 0:
+            piece[start] = start
+            queue = [start]
+            for i in queue:
+                for j in nbrs[i]:
+                    if piece[j] < 0:
+                        piece[j] = start
+                        queue.append(j)
+    return Partition.from_labels(piece)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,25 +263,136 @@ DISCONNECTED_EDGES = [
     (32, 33)]
 
 
-def test_louvain_can_return_a_disconnected_cluster():
-    """Louvain clusters are not always connected (Traag et al. 2019, arXiv:1810.08473).
+@settings(max_examples=60, deadline=None)
+@given(sessions=sparse_session_lists, seed=st.integers(0, 2**16),
+       gamma=st.sampled_from([0.5, 1.0, 4.0]))
+@example(sessions=[Session(f"e{i}", frozenset(e)) for i, e in enumerate(DISCONNECTED_EDGES)],
+         seed=13638, gamma=0.5)
+def test_louvain_clusters_are_connected(sessions, seed, gamma):
+    """Every Louvain cluster is connected (Traag et al. 2019, arXiv:1810.08473).
 
-    At gamma 0.5 and seed 13638 the cluster {0, 5, 6, 27, 28} is two pieces,
-    {0, 28} and {5, 6, 27}, with no co-view edge between them.
-    The dict reference does the same, so the algorithm is at fault, not the
-    array code; splitting the cluster into its pieces raises Q.
+    Local moving and aggregation alone can leave a cluster in pieces: on the
+    example, gamma 0.5 and seed 13638 gave the cluster {0, 5, 6, 27, 28},
+    two pieces {0, 28} and {5, 6, 27} with no co-view edge between them.
+    The breadth-first split of the dict reference must agree.
     """
     nx = pytest.importorskip("networkx")
-    g = SessionGraph(N, edges={e: 1 for e in DISCONNECTED_EDGES})
+    g = build_graph(sessions, n=N)
+    assume(g.total_weight > 0)
     nxg = nx.Graph()
     nxg.add_nodes_from(range(N))
     nxg.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
-    part = louvain(g, 0.5, 13638)
-    np.testing.assert_array_equal(part.cluster_of, reference_louvain(g, 0.5, 13638).cluster_of)
-    disconnected = [c for c in range(part.n_clusters)
-                    if not nx.is_connected(nxg.subgraph(np.flatnonzero(part.cluster_of == c)))]
-    members = [np.flatnonzero(part.cluster_of == c).tolist() for c in disconnected]
-    assert members == [[0, 5, 6, 27, 28]]
-    split = part.cluster_of.copy()
-    split[[5, 6, 27]] = part.n_clusters
-    assert modularity(g, Partition(split), 0.5) > modularity(g, part, 0.5)
+    part = louvain(g, gamma, seed)
+    np.testing.assert_array_equal(part.cluster_of, reference_louvain(g, gamma, seed).cluster_of)
+    for c in range(part.n_clusters):
+        assert nx.is_connected(nxg.subgraph(np.flatnonzero(part.cluster_of == c).tolist()))
+
+
+def reference_read_sessions(path, n_articles=None):
+    """The dict-of-sets reader that ``clickstream._read_csr`` replaced: [(id, article set)]."""
+    path = Path(path)
+    grouped = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        if [h.strip() for h in header] != ["session_id", "article_id"]:
+            raise ValueError(f"{path}: expected header 'session_id,article_id'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: malformed row at line {lineno}")
+            sid, raw = row
+            try:
+                article = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-integer article_id at line {lineno}"
+                ) from None
+            if article < 0 or (n_articles is not None and article >= n_articles):
+                raise ValueError(f"{path}: unknown article id {article} at line {lineno}")
+            grouped.setdefault(sid, set()).add(article)
+    return list(grouped.items())
+
+
+# Quoted ids with commas and quotes, and article ids written as int() accepts them.
+csv_session_ids = st.sampled_from(["a", "b", "s,1", 'q"x', " 7", "7", ""])
+csv_article_ids = st.builds(lambda a, form: form.format(a), st.integers(0, N - 1),
+                            st.sampled_from(["{}", " {}", "+{}", "{} ", "0{}"]))
+# None stands for a blank line; a small id pool gives duplicate rows.
+csv_rows = st.lists(st.one_of(st.tuples(csv_session_ids, csv_article_ids), st.none()),
+                    max_size=40)
+bad_lines = st.sampled_from(["a", "a,1,2", "a,x1", "a,1.0", f"a,{N}", "a,-1", "a,"])
+
+
+def clickstream_text(rows):
+    out = io.StringIO()
+    out.write("session_id,article_id\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        if row is None:
+            out.write("\n")
+        else:
+            writer.writerow(row)
+    return out.getvalue()
+
+
+def read_all_three(text, n_articles):
+    """Outcome of ``_read_csr``, ``read_sessions`` and the reference on ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clicks.csv"
+        path.write_text(text, encoding="utf-8")
+        outcomes = []
+        for reader in (_read_csr, read_sessions, reference_read_sessions):
+            try:
+                outcomes.append(reader(path, n_articles))
+            except ValueError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=csv_rows, declared=st.booleans())
+def test_csr_reader_matches_dict_of_sets_reader(rows, declared):
+    (ids, indptr, article), sessions, expected = read_all_three(
+        clickstream_text(rows), N if declared else None)
+    assert ids == [sid for sid, _ in expected]
+    assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
+        [sorted(v) for _, v in expected]
+    assert sessions == [Session(sid, frozenset(v)) for sid, v in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=csv_rows, bad=bad_lines, at=st.integers(0, 40))
+def test_csr_reader_rejects_malformed_rows_like_dict_of_sets_reader(rows, bad, at):
+    lines = clickstream_text(rows).splitlines(keepends=True)
+    at = min(at + 1, len(lines))
+    outcomes = read_all_three("".join(lines[:at] + [bad + "\n"] + lines[at:]), N)
+    assert all(isinstance(o, ValueError) for o in outcomes)
+    assert len({str(o) for o in outcomes}) == 1
+    assert f"line {at + 1}" in str(outcomes[0])
+
+
+def test_csr_reader_bounds_undeclared_ids_by_int64(tmp_path):
+    path = tmp_path / "clicks.csv"
+    path.write_text(f"session_id,article_id\na,1\na,{2**63 - 1}\nb,{2**63}\n")
+    with pytest.raises(ValueError, match=f"unknown article id {2**63} at line 4$"):
+        _read_csr(path)
+    path.write_text(f"session_id,article_id\na,{2**63 - 1}\nb,1\na,0\n")
+    ids, indptr, article = _read_csr(path)
+    assert ids == ["a", "b"]
+    assert indptr.tolist() == [0, 2, 3]
+    assert article.tolist() == [0, 2**63 - 1, 1]
+
+
+def test_csr_reader_on_empty_and_header_only_files(tmp_path):
+    path = tmp_path / "clicks.csv"
+    for text, ids in [("", None), ("session_id,article_id\n", []),
+                      ("session_id,article_id\n\n\n", [])]:
+        path.write_text(text)
+        got, indptr, article = _read_csr(path)
+        assert got == ids
+        assert indptr.tolist() == [0]
+        assert article.tolist() == []
