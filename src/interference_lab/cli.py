@@ -50,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for Monte-Carlo permutations")
+                        help="worker processes for Monte-Carlo permutations and "
+                             "frontier's per-gamma Louvain calls")
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:

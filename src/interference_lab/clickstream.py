@@ -20,6 +20,7 @@ import csv
 import functools
 import itertools
 import logging
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -217,6 +218,10 @@ def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> Ses
         n = max_seen + 1
     elif max_seen >= n:
         raise ValueError("session views exceed the declared article count")
+    # Pair keys min * n + max stay below n**2, which must fit in int64.
+    if n > math.isqrt(2**63 - 1):
+        raise ValueError(f"article id {max_seen} is too large for the co-view graph: "
+                         f"ids must be below {math.isqrt(2**63 - 1)}")
     lengths = np.diff(indptr)
     keys = [np.empty(0, dtype=np.int64)]
     # Sessions of one length expand to their pairs in one block.

@@ -19,6 +19,7 @@ verdict are unchanged; partitions are those of visiting every node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,14 @@ from .clickstream import (  # noqa: F401
     SessionGraph,
     _covered_csr,
     _exposure,
-    build_graph,
+    _graph,
     exposure_share,
 )
 from .demand import DemandSystem, Metric, Partition, PricePolicy
 from .experiment import (
     BiasReport,
     ClusterLevel,
+    _parallel_map,
     assign,
     monte_carlo_bias,
 )
@@ -63,10 +65,14 @@ class FrontierPoint:
     defined: bool = True
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, not {gamma}")
+
+
 def modularity(graph: SessionGraph, partition: Partition, gamma: float = 1.0) -> float:
     """Resolution-parametrized modularity of a partition of the co-view graph."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    _check_gamma(gamma)
     m = graph.total_weight
     if m <= 0:
         raise ValueError("modularity is undefined on an empty graph")
@@ -165,8 +171,7 @@ def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition
     The returned partition never scores below the singleton partition, and
     each of its clusters is connected.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    _check_gamma(gamma)
     m = graph.total_weight
     if m <= 0:
         raise ValueError("louvain requires a graph with positive total weight")
@@ -212,6 +217,9 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
+    The ``workers`` processes run the per-gamma Louvain calls side by side as
+    well as the Monte-Carlo draws; each call is a pure function of (graph,
+    gamma, seed), so the rows are the same for any worker count.
 
     With the generator's per-article heterogeneity, ``relative_sd`` does not
     rise as gamma falls: partitions that keep true clusters whole spread
@@ -219,11 +227,14 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     a few pieces each, since a true cluster's treated share then swings
     between draws, and with it the substitution between arms.
     """
-    graph = build_graph(sessions, n=system.n)
+    order = sorted(enumerate(gammas), key=lambda t: t[1])
+    for _, gamma in order:
+        _check_gamma(gamma)
     indptr, article = _covered_csr(sessions, system.n)
+    graph = _graph(indptr, article, system.n)
+    parts = _parallel_map(louvain, [(graph, gamma, seed) for _, gamma in order], workers)
     points = []
-    for idx, gamma in sorted(enumerate(gammas), key=lambda t: t[1]):
-        part = louvain(graph, gamma, seed)
+    for (idx, gamma), part in zip(order, parts):
         q = modularity(graph, part, gamma)
         k = part.n_clusters
         if k < 2:

@@ -10,6 +10,7 @@ half-width.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,9 @@ class MetaExperimentInput:
     est_article: float
 
     def __post_init__(self):
+        for name in ("est_clustered", "ci_halfwidth", "est_article"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.ci_halfwidth <= 0:
             raise ValueError("ci_halfwidth must be > 0")
 
@@ -41,16 +45,19 @@ def compare(inp: MetaExperimentInput,
     sigma is ci_halfwidth / ci_divisor; the divisor is configurable because
     a reported "+/- x pts" may be a standard error rather than a 95% CI.
     """
-    if ci_divisor <= 0:
-        raise ValueError("ci_divisor must be > 0")
+    if not 0 < ci_divisor < math.inf:
+        raise ValueError(f"ci_divisor must be finite and > 0, not {ci_divisor}")
     if inp.est_clustered == 0:
         raise ValueError(f"{inp.label}: relative bias undefined for a zero "
                          "clustered estimate")
     diff = inp.est_article - inp.est_clustered
-    return MetaComparison(
-        relative_bias=diff / inp.est_clustered,
-        sigma_distance=diff / (inp.ci_halfwidth / ci_divisor),
-    )
+    sigma = inp.ci_halfwidth / ci_divisor
+    # Finite inputs can still overflow here, or underflow sigma to 0.
+    result = MetaComparison(relative_bias=diff / inp.est_clustered,
+                            sigma_distance=diff / sigma if sigma > 0 else math.inf)
+    if not (math.isfinite(result.relative_bias) and math.isfinite(result.sigma_distance)):
+        raise ValueError(f"{inp.label}: the comparison overflows the float range")
+    return result
 
 
 def read_inputs(path) -> list[MetaExperimentInput]:

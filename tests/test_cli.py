@@ -166,6 +166,16 @@ class TestCluster:
         assert code == 1
         assert "--n-sessions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_is_one_error_line(self, system_path, tmp_path, capsys,
+                                                gamma):
+        out = tmp_path / "p.csv"
+        assert run(["cluster", "--system", system_path, "--n-sessions", "200",
+                    f"--gamma={gamma}", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExposure:
     def test_exposure_csv(self, system_path, tmp_path):
@@ -217,6 +227,16 @@ class TestSessionsFile:
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
 
+    def test_ids_too_large_for_pair_keys_are_one_error_line(self, tmp_path, capsys):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text(f"session_id,article_id\na,1\na,{2**62}\n")
+        out = tmp_path / "o.csv"
+        assert run(["cluster", "--sessions", clicks, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: article id {2**62} is too large")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["cluster"], ["exposure", "--strategy", "article"]])
     def test_empty_file_is_one_error_line(self, tmp_path, capsys, command):
         clicks = tmp_path / "clicks.csv"
@@ -237,6 +257,16 @@ class TestFrontier:
         gammas = [float(r[0]) for r in rows[1:]]
         assert gammas == sorted(gammas)
 
+    @pytest.mark.parametrize("gammas", ["nan,1", "1,inf", "0,1"])
+    def test_bad_gamma_is_one_error_line(self, system_path, tmp_path, capsys, gammas):
+        out = tmp_path / "front.csv"
+        assert run(["frontier", "--system", system_path, "--n-sessions", "300",
+                    "--gammas", gammas, "--p", "4", "--workers", "2",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must be finite") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestMeta:
     def test_reference_table(self, tmp_path):
@@ -250,6 +280,18 @@ class TestMeta:
         assert rows[0] == META_HEADER
         assert float(rows[1][4]) == pytest.approx(0.4878, abs=1e-4)
         assert float(rows[2][4]) == pytest.approx(0.7714, abs=1e-4)
+
+    @pytest.mark.parametrize("row,flags", [("a,nan,0.05,0.61", []), ("a,0.41,inf,0.61", []),
+                                           ("a,0.41,1e-320,0.61", []),
+                                           ("a,0.41,0.05,0.61", ["--ci-divisor", "inf"])])
+    def test_non_finite_input_is_one_error_line(self, tmp_path, capsys, row, flags):
+        infile = tmp_path / "meta_in.csv"
+        infile.write_text(f"label,est_clustered,ci_halfwidth,est_article\n{row}\n")
+        out = tmp_path / "meta.csv"
+        assert run(["meta", "--in", infile, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCoverage:

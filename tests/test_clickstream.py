@@ -148,6 +148,11 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([])
 
+    def test_ids_too_large_for_pair_keys_rejected(self):
+        sessions = [Session("a", frozenset({1, 2**62}))]
+        with pytest.raises(ValueError, match=f"article id {2**62} is too large"):
+            build_graph(sessions)
+
 
 class TestExposure:
     def test_classification(self):

@@ -1,6 +1,7 @@
 """Tests for modularity, the greedy optimizer, and the resolution frontier."""
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -149,6 +150,14 @@ class TestLouvain:
         with pytest.raises(ValueError):
             louvain(SessionGraph(n=3, edges={}))
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        graph = two_triangles()
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            louvain(graph, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            modularity(graph, Partition.from_labels(np.zeros(6, dtype=np.int64)), gamma)
+
 
 class TestFrontier:
     def test_rows_sorted_and_defined(self):
@@ -190,3 +199,30 @@ class TestFrontier:
                       metric=Metric.UNITS, p=24, seed=53, exposure_draws=4)
         assert (frontier(system, sessions, workers=1, **kwargs)
                 == frontier(system, sessions, workers=8, **kwargs))
+
+    def test_pooled_louvain_calls_match_serial(self):
+        # Unsorted gammas, one small enough to leave a single cluster; NaN
+        # fields of the undefined point compare equal through assert_equal.
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4,
+                              within_share=0.3, background_share=0.05)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 800, 2, 4, purity=0.5, seed=42)
+        kwargs = dict(gammas=[4.0, 1e-6, 1.5], policy=PricePolicy(0.9),
+                      metric=Metric.UNITS, p=10, seed=43, exposure_draws=4)
+        rows = {w: [astuple(pt) for pt in frontier(system, sessions, workers=w, **kwargs)]
+                for w in (1, 2, 3)}
+        assert [r[0] for r in rows[1]] == [1e-6, 1.5, 4.0]
+        assert [r[-1] for r in rows[1]] == [False, True, True]
+        np.testing.assert_equal(rows[2], rows[1])
+        np.testing.assert_equal(rows[3], rows[1])
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_bad_gamma_before_any_work(self, gamma, monkeypatch):
+        monkeypatch.setattr("interference_lab.clustering._parallel_map",
+                            lambda *a: pytest.fail("pool job started"))
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 100, 2, 4, purity=0.5, seed=42)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            frontier(system, sessions, gammas=[1.0, gamma], policy=PricePolicy(0.9),
+                     metric=Metric.UNITS, p=10, seed=43, workers=2)

@@ -36,6 +36,24 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(MetaExperimentInput("g", 0.4, 0.05, 0.6), ci_divisor=0.0)
 
+    @pytest.mark.parametrize("fields", [(float("nan"), 0.05, 0.6), (0.4, float("inf"), 0.6),
+                                        (0.4, 0.05, -float("inf"))])
+    def test_non_finite_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be finite"):
+            MetaExperimentInput("h", *fields)
+
+    @pytest.mark.parametrize("divisor", [float("nan"), float("inf")])
+    def test_non_finite_ci_divisor_rejected(self, divisor):
+        with pytest.raises(ValueError, match="ci_divisor must be finite"):
+            compare(MetaExperimentInput("i", 0.4, 0.05, 0.6), ci_divisor=divisor)
+
+    @pytest.mark.parametrize("fields,divisor", [((0.4, 1e-320, 0.6), 1.96),
+                                                ((0.4, 1e-300, 0.6), 1e300),
+                                                ((1e-320, 0.05, 0.6), 1.96)])
+    def test_overflowing_comparison_rejected(self, fields, divisor):
+        with pytest.raises(ValueError, match="overflows"):
+            compare(MetaExperimentInput("j", *fields), ci_divisor=divisor)
+
 
 class TestReadInputs:
     def test_reads_rows(self, tmp_path):
@@ -64,4 +82,12 @@ class TestReadInputs:
         path.write_text("label,est_clustered,ci_halfwidth,est_article\n"
                         "x,oops,0.05,0.6\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_inputs(path)
+
+    @pytest.mark.parametrize("row", ["x,nan,0.05,0.6", "x,0.4,inf,0.6", "x,0.4,0.05,-inf"])
+    def test_rejects_non_finite(self, tmp_path, row):
+        path = tmp_path / "meta.csv"
+        path.write_text("label,est_clustered,ci_halfwidth,est_article\n"
+                        f"a,0.41,0.05,0.61\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: .* must be finite"):
             read_inputs(path)
