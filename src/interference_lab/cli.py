@@ -30,18 +30,13 @@ GENERATOR_FLAGS = {f.name: f.name for f in fields(demand.GeneratorConfig)} | {
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     for name, flag in GENERATOR_FLAGS.items():
-        parser.add_argument(f"--{flag.replace('_', '-')}", default=None,
-                            type=type(getattr(demand.GeneratorConfig, name)))
+        default = getattr(demand.GeneratorConfig, name)
+        parser.add_argument(f"--{flag.replace('_', '-')}", default=default, type=type(default))
 
 
 def _generator_config(args) -> demand.GeneratorConfig:
     return demand.GeneratorConfig(**{name: getattr(args, flag)
-                                     for name, flag in GENERATOR_FLAGS.items()
-                                     if getattr(args, flag) is not None})
-
-
-def _or(value, default):
-    return default if value is None else value
+                                     for name, flag in GENERATOR_FLAGS.items()})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -55,11 +50,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--multiplier", type=float, default=None,
-                        help="treated price multiplier (default 0.95)")
-    parser.add_argument("--metric", choices=["units", "revenue"], default=None)
-    parser.add_argument("--p", type=int, default=None,
-                        help="number of experiment assignments (default 1000)")
+    parser.add_argument("--multiplier", type=float, default=0.95,
+                        help="treated price multiplier (default %(default)s)")
+    parser.add_argument("--metric", choices=["units", "revenue"], default="revenue")
+    parser.add_argument("--p", type=int, default=1000,
+                        help="number of experiment assignments (default %(default)s)")
 
 
 def _add_session_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,9 +62,9 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
                         help="clickstream CSV (session_id,article_id)")
     parser.add_argument("--n-sessions", type=int, default=None,
                         help="synthesize this many sessions instead of reading a file")
-    parser.add_argument("--views-min", type=int, default=None)
-    parser.add_argument("--views-max", type=int, default=None)
-    parser.add_argument("--purity", type=float, default=None)
+    parser.add_argument("--views-min", type=int, default=2)
+    parser.add_argument("--views-max", type=int, default=5)
+    parser.add_argument("--purity", type=float, default=0.9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_generator_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--phis", type=str, default=None,
+    p.add_argument("--phis", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6",
                    help="comma-separated within-cluster substitution shares")
-    p.add_argument("--strategies", type=str, default=None,
+    p.add_argument("--strategies", type=str, default="article,cluster",
                    help="comma-separated subset of: article,cluster")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_sweep)
@@ -116,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="demand system JSON (article space / synthesis partition)")
     p.add_argument("--partition", type=Path, default=None,
                    help="partition CSV used for session synthesis")
-    p.add_argument("--gamma", type=float, default=None, help="resolution (default 1)")
+    p.add_argument("--gamma", type=float, default=1.0,
+                   help="resolution (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -136,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", type=Path, required=True)
     p.add_argument("--partition", type=Path, default=None,
                    help="partition CSV used for session synthesis")
-    p.add_argument("--gammas", type=str, default=None,
+    p.add_argument("--gammas", type=str, default="0.25,0.5,1,2,4,8",
                    help="comma-separated resolution values")
-    p.add_argument("--exposure-draws", type=int, default=None)
+    p.add_argument("--exposure-draws", type=int, default=32)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_frontier)
 
@@ -146,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--in", dest="infile", type=Path, required=True,
                    help="CSV: label,est_clustered,ci_halfwidth,est_article")
-    p.add_argument("--ci-divisor", type=float, default=None,
-                   help="half-width -> sigma divisor (default 1.96)")
+    p.add_argument("--ci-divisor", type=float, default=metaexp.DEFAULT_CI_DIVISOR,
+                   help="half-width -> sigma divisor (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_meta)
 
@@ -157,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", type=Path, required=True)
     p.add_argument("--strategy", choices=["article", "cluster"], default="article")
     p.add_argument("--partition", type=Path, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None,
-                   help="lognormal observation-noise sigma (default 0.05)")
+    p.add_argument("--noise-sigma", type=float, default=0.05,
+                   help="lognormal observation-noise sigma (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_coverage)
 
@@ -166,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.config is None:
-        return
+    """Make the config file's values the subcommand's defaults; parsing again lets flags win."""
     try:
         values = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -182,11 +177,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             raise RuntimeError(f"config file {args.config}: unknown key '{key}'")
         action = actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            # A switch defaults to False, not None: the file sets it unless the flag did.
             if not isinstance(value, bool):
                 command.error(f"config file {args.config}: '{key}' must be true or false, "
                               f"not {value!r}")
-            setattr(args, key, getattr(args, key) or value)
+            command.set_defaults(**{key: value})
             continue
         # Checked as the same text on the command line would be; usage errors exit 2.
         text = str(value)
@@ -197,8 +191,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
         if action.choices is not None and value not in action.choices:
             command.error(f"config file {args.config}: '{key}' must be one of "
                           f"{', '.join(map(str, action.choices))}, not {value!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        command.set_defaults(**{key: value})
 
 
 def _resolve_seed(args) -> int:
@@ -215,14 +208,6 @@ def _resolve_workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _metric(args) -> demand.Metric:
-    return demand.Metric(_or(args.metric, "revenue"))
-
-
-def _policy(args) -> demand.PricePolicy:
-    return demand.PricePolicy(_or(args.multiplier, 0.95))
-
-
 def _strategy(args, system: demand.DemandSystem | None):
     if args.strategy == "article":
         return experiment.ArticleLevel()
@@ -233,30 +218,20 @@ def _strategy(args, system: demand.DemandSystem | None):
     return experiment.ClusterLevel(system.partition)
 
 
-def _synthesized(args, seed: int, partition: demand.Partition | None):
+def _session_csr(args, seed: int, partition: demand.Partition | None,
+                 n_articles: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, article) of the clickstream CSV, or of the synthesized sessions."""
+    if args.sessions is not None:
+        ids, indptr, article = clickstream._read_csr(args.sessions, n_articles)
+        if not ids:
+            raise RuntimeError(f"{args.sessions}: no sessions")
+        return indptr, article
     if args.n_sessions is None:
         raise RuntimeError("provide --sessions or --n-sessions for synthesis")
     if partition is None:
         raise RuntimeError("session synthesis needs --partition or --system")
-    return clickstream.generate_sessions(
-        partition,
-        n_sessions=args.n_sessions,
-        views_min=_or(args.views_min, 2),
-        views_max=_or(args.views_max, 5),
-        purity=_or(args.purity, 0.9),
-        seed=seed,
-    )
-
-
-def _session_csr(args, seed: int, partition: demand.Partition | None,
-                 n_articles: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, article) of the clickstream CSV, or of the synthesized sessions."""
-    if args.sessions is None:
-        return clickstream._csr(_synthesized(args, seed, partition))
-    ids, indptr, article = clickstream._read_csr(args.sessions, n_articles)
-    if not ids:
-        raise RuntimeError(f"{args.sessions}: no sessions")
-    return indptr, article
+    return clickstream._generate(partition, args.n_sessions, args.views_min, args.views_max,
+                                 args.purity, seed)
 
 
 def _synthesis_partition(args) -> tuple[demand.Partition | None, int | None,
@@ -274,9 +249,12 @@ def _synthesis_partition(args) -> tuple[demand.Partition | None, int | None,
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise RuntimeError(f"cannot parse {what} list: {text!r}") from None
+    if not values:
+        raise RuntimeError(f"empty {what} list: {text!r}")
+    return values
 
 
 def cmd_gen(args) -> None:
@@ -292,8 +270,8 @@ def cmd_simulate(args) -> None:
     system = demand.DemandSystem.load(args.system)
     strategy = _strategy(args, system)
     report = experiment.monte_carlo_bias(
-        system, strategy, _policy(args), _metric(args),
-        p=_or(args.p, 1000), master_seed=seed, workers=_resolve_workers(args))
+        system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
+        p=args.p, master_seed=seed, workers=_resolve_workers(args))
     phi = system.config.within_share if system.config else None
     reports.write_bias_report(args.out, report, experiment.strategy_label(strategy),
                               phi=phi)
@@ -301,14 +279,14 @@ def cmd_simulate(args) -> None:
 
 def cmd_sweep(args) -> None:
     seed = _resolve_seed(args)
-    phis = _parse_floats(_or(args.phis, "0.1,0.2,0.3,0.4,0.5,0.6"), "phi")
-    strategies = [s.strip() for s in _or(args.strategies, "article,cluster").split(",")]
+    phis = _parse_floats(args.phis, "phi")
+    strategies = [s.strip() for s in args.strategies.split(",")]
     for s in strategies:
         if s not in ("article", "cluster"):
             raise RuntimeError(f"unknown strategy '{s}'")
     rows = experiment.sweep_substitution(
-        _generator_config(args), phis, strategies, _policy(args), _metric(args),
-        p=_or(args.p, 1000), seed=seed, workers=_resolve_workers(args))
+        _generator_config(args), phis, strategies, demand.PricePolicy(args.multiplier),
+        demand.Metric(args.metric), p=args.p, seed=seed, workers=_resolve_workers(args))
     reports.write_sweep(args.out, rows)
 
 
@@ -316,7 +294,7 @@ def cmd_cluster(args) -> None:
     seed = _resolve_seed(args)
     part, n, _system = _synthesis_partition(args)
     graph = clickstream._graph(*_session_csr(args, seed, part, n), n)
-    result = clustering.louvain(graph, gamma=_or(args.gamma, 1.0), seed=seed)
+    result = clustering.louvain(graph, gamma=args.gamma, seed=seed)
     reports.write_partition(args.out, result)
 
 
@@ -339,23 +317,19 @@ def cmd_exposure(args) -> None:
 
 def cmd_frontier(args) -> None:
     seed = _resolve_seed(args)
-    system = demand.DemandSystem.load(args.system)
-    part = (reports.read_partition(args.partition) if args.partition
-            else system.partition)
-    sessions = (clickstream.read_sessions(args.sessions, system.n) if args.sessions
-                else _synthesized(args, seed, part))
-    gammas = _parse_floats(_or(args.gammas, "0.25,0.5,1,2,4,8"), "gamma")
-    points = clustering.frontier(
-        system, sessions, gammas, _policy(args), _metric(args),
-        p=_or(args.p, 1000), seed=seed, workers=_resolve_workers(args),
-        exposure_draws=_or(args.exposure_draws, 32))
+    part, _, system = _synthesis_partition(args)
+    indptr, article = _session_csr(args, seed, part, system.n)
+    gammas = _parse_floats(args.gammas, "gamma")
+    points = clustering._frontier(
+        system, indptr, article, gammas, demand.PricePolicy(args.multiplier),
+        demand.Metric(args.metric), p=args.p, seed=seed, workers=_resolve_workers(args),
+        exposure_draws=args.exposure_draws)
     reports.write_frontier(args.out, points)
 
 
 def cmd_meta(args) -> None:
     inputs = metaexp.read_inputs(args.infile)
-    divisor = _or(args.ci_divisor, metaexp.DEFAULT_CI_DIVISOR)
-    reports.write_meta(args.out, [(inp, metaexp.compare(inp, divisor))
+    reports.write_meta(args.out, [(inp, metaexp.compare(inp, args.ci_divisor))
                                   for inp in inputs])
 
 
@@ -364,9 +338,8 @@ def cmd_coverage(args) -> None:
     system = demand.DemandSystem.load(args.system)
     strategy = _strategy(args, system)
     report = experiment.coverage_analysis(
-        system, strategy, _policy(args), _metric(args), p=_or(args.p, 1000),
-        seed=seed, noise_sigma=_or(args.noise_sigma, 0.05),
-        workers=_resolve_workers(args))
+        system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
+        p=args.p, seed=seed, noise_sigma=args.noise_sigma, workers=_resolve_workers(args))
     reports.write_coverage(args.out, report)
 
 
@@ -374,7 +347,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(parser, args)
+        if args.config is not None:
+            _apply_config_file(parser, args)
+            args = parser.parse_args(argv)
         args.func(args)
     except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

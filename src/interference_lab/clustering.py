@@ -28,7 +28,7 @@ import numpy as np
 from .clickstream import (  # noqa: F401
     Session,
     SessionGraph,
-    _covered_csr,
+    _csr,
     _exposure,
     _graph,
     exposure_share,
@@ -227,10 +227,19 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     a few pieces each, since a true cluster's treated share then swings
     between draws, and with it the substitution between arms.
     """
+    return _frontier(system, *_csr(sessions, system.n), gammas, policy, metric, p, seed,
+                     workers, exposure_draws)
+
+
+def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gammas,
+              policy: PricePolicy, metric: Metric, p: int, seed: int, workers: int = 1,
+              exposure_draws: int = 32) -> list[FrontierPoint]:
+    """``frontier`` on the CSR sessions (``indptr``, ``article``)."""
+    if exposure_draws < 1:
+        raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")
     order = sorted(enumerate(gammas), key=lambda t: t[1])
     for _, gamma in order:
         _check_gamma(gamma)
-    indptr, article = _covered_csr(sessions, system.n)
     graph = _graph(indptr, article, system.n)
     parts = _parallel_map(louvain, [(graph, gamma, seed) for _, gamma in order], workers)
     points = []

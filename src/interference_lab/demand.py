@@ -16,9 +16,10 @@ a brute-force cross-check.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -198,18 +199,32 @@ class DemandSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DemandSystem":
+        if not isinstance(d, dict):
+            raise ValueError("demand system must be a JSON object")
         missing = [key for key in ("partition", "own", "within_beta", "background",
                                    "base_prices", "base_quantities") if key not in d]
         if missing:
             raise ValueError(f"demand system is missing key(s): {', '.join(missing)}")
+        background = d["background"]
+        if isinstance(background, bool) or not isinstance(background, (int, float)):
+            raise ValueError("demand system key 'background' must be a number, "
+                             f"not {background!r}")
+        config = d.get("config")
+        if config is not None and not isinstance(config, dict):
+            raise ValueError("demand system key 'config' must be null or an object, "
+                             f"not {config!r}")
+        unknown = sorted(set(config or ()) - {f.name for f in fields(GeneratorConfig)})
+        if unknown:
+            raise ValueError("demand system key 'config' has unknown field(s): "
+                             f"{', '.join(unknown)}")
         partition = Partition(np.asarray(d["partition"], dtype=np.int64))
         elasticity = ElasticityStructure(
             own=np.asarray(d["own"], dtype=float),
             within=np.asarray(d["within_beta"], dtype=float),
-            background=float(d["background"]),
+            background=float(background),
             partition=partition,
         )
-        config = GeneratorConfig(**d["config"]) if d.get("config") else None
+        config = GeneratorConfig(**config) if config else None
         return cls(
             base_prices=np.asarray(d["base_prices"], dtype=float),
             base_quantities=np.asarray(d["base_quantities"], dtype=float),
@@ -267,6 +282,10 @@ class GeneratorConfig:
     quantity_max: float = 100.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.cluster_size_min < 1 or self.cluster_size_max < self.cluster_size_min:

@@ -64,6 +64,15 @@ class TestGen:
             run(["gen", *GEN_SMALL])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--own-mean=nan", "--phi=inf", "--price-max=-inf"])
+    def test_non_finite_generator_value_is_one_error_line(self, tmp_path, capsys, flag):
+        out = tmp_path / "s.json"
+        assert run(["gen", *GEN_SMALL, flag, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_config_is_runtime_error(self, tmp_path, capsys):
         code = run(["gen", "--n", "0", "--out", tmp_path / "x.json"])
         assert code == 1
@@ -134,6 +143,20 @@ class TestSimulate:
         assert len(err) == 1
         assert err[0].startswith("error:") and "partition" in err[0]
 
+    @pytest.mark.parametrize("change,key", [({"config": [1]}, "'config'"),
+                                            ({"config": {"n": 80, "bogus": 1}}, "bogus"),
+                                            ({"background": None}, "'background'"),
+                                            ({"background": "0.1"}, "'background'")])
+    def test_badly_typed_system_key_is_one_error_line(self, system_path, tmp_path, capsys,
+                                                      change, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**json.loads(system_path.read_text()), **change}))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--system", path, "--p", "4", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSweep:
     def test_row_count_contract(self, tmp_path):
@@ -150,6 +173,12 @@ class TestSweep:
                     "--out", tmp_path / "s.csv"])
         assert code == 1
         assert "banana" in capsys.readouterr().err
+
+    def test_empty_phi_list_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--n", "60", "--phis", ",", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: empty phi list: ','\n"
+        assert not out.exists()
 
 
 class TestCluster:
@@ -267,6 +296,48 @@ class TestFrontier:
         assert err.startswith("error: gamma must be finite") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--gammas", ","], "error: empty gamma list: ','\n"),
+        (["--gammas", "1", "--exposure-draws", "0"],
+         "error: exposure_draws must be >= 1, not 0\n"),
+    ])
+    def test_empty_or_zero_input_is_one_error_line(self, system_path, tmp_path, capsys,
+                                                   flags, message):
+        out = tmp_path / "front.csv"
+        assert run(["frontier", "--system", system_path, "--n-sessions", "300",
+                    *flags, "--p", "4", "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_written_sessions_give_the_bytes_of_synthesis(self, system_path, tmp_path):
+        sessions = generate_sessions(DemandSystem.load(system_path).partition,
+                                     1500, 2, 5, 0.9, seed=9)
+        clicks = tmp_path / "clicks.csv"
+        write_sessions(sessions, clicks)
+        common = ["--gammas", "2,0.8", "--p", "8", "--seed", "9", "--workers", "1",
+                  "--exposure-draws", "4"]
+        synthesized, from_file = tmp_path / "synth.csv", tmp_path / "file.csv"
+        assert run(["frontier", "--system", system_path, "--n-sessions", "1500", *common,
+                    "--out", synthesized]) == 0
+        assert run(["frontier", "--system", system_path, "--sessions", clicks, *common,
+                    "--out", from_file]) == 0
+        assert from_file.read_bytes() == synthesized.read_bytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "no sessions"),
+        ("session_id,article_id\n", "no sessions"),
+        ("session_id,article_id\na,1\nb\n", "malformed row at line 3"),
+    ])
+    def test_bad_sessions_file_is_one_error_line(self, system_path, tmp_path, capsys,
+                                                 text, message):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text(text)
+        out = tmp_path / "front.csv"
+        assert run(["frontier", "--system", system_path, "--sessions", clicks,
+                    "--p", "4", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {clicks}: {message}\n"
+        assert not out.exists()
+
 
 class TestMeta:
     def test_reference_table(self, tmp_path):
@@ -344,6 +415,17 @@ class TestConfigFile:
                  "--out", tmp_path / "o.csv"])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_strategy_from_file_applies_and_flag_overrides(self, system_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": "cluster", "p": 10, "workers": 1}))
+        from_file, overridden = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run(["simulate", "--config", cfg, "--system", system_path,
+                    "--out", from_file]) == 0
+        assert read_rows(from_file)[1][BIAS_HEADER.index("strategy")] == "cluster"
+        assert run(["simulate", "--config", cfg, "--strategy", "article",
+                    "--system", system_path, "--out", overridden]) == 0
+        assert read_rows(overridden)[1][BIAS_HEADER.index("strategy")] == "article"
 
     def test_force_from_file_overwrites(self, system_path, tmp_path):
         cfg = tmp_path / "cfg.json"

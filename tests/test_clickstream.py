@@ -121,6 +121,21 @@ class TestSessionIO:
         with pytest.raises(ValueError, match="99"):
             read_sessions(out_of_range, n_articles=10)
 
+    def test_failing_writer_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        write_sessions([Session("a", frozenset({1, 2}))], path)
+        before = path.read_bytes()
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("writer interrupted")
+
+        with pytest.raises(RuntimeError, match="writer interrupted"):
+            write_sessions([Session("b", frozenset({3})),
+                            Session("c", frozenset({Unprintable()}))], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
+
     def test_empty_file_warns_and_returns_nothing(self, tmp_path, caplog):
         path = tmp_path / "empty.csv"
         path.write_text("")

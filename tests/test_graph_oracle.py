@@ -35,7 +35,7 @@ from interference_lab import (
     modularity,
     read_sessions,
 )
-from interference_lab.clickstream import _read_csr
+from interference_lab.clickstream import _csr, _exposure, _generate, _graph, _read_csr
 
 N = 40
 # Short sessions (including single views) mixed with sessions of 30+ views.
@@ -396,3 +396,52 @@ def test_csr_reader_on_empty_and_header_only_files(tmp_path):
         assert got == ids
         assert indptr.tolist() == [0]
         assert article.tolist() == []
+
+
+def reference_generate_sessions(partition, n_sessions, views_min, views_max, purity, seed):
+    """The frozenset comprehension that ``clickstream._generate`` replaced, same RNG calls."""
+    rng = np.random.default_rng(seed)
+    n = partition.n
+    k = partition.n_clusters
+    members = np.argsort(partition.cluster_of, kind="stable")
+    sizes = partition.sizes()
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+
+    counts = rng.integers(views_min, views_max + 1, n_sessions)
+    total = int(counts.sum())
+    home = np.repeat(rng.integers(0, k, n_sessions), counts)
+    stay = rng.random(total) < purity
+    in_cluster = offsets[home] + (rng.random(total) * sizes[home]).astype(np.int64)
+    anywhere = rng.integers(0, n, total)
+    views = np.where(stay, members[in_cluster], anywhere)
+
+    ends = np.cumsum(counts).tolist()
+    return [Session(session_id=f"s{i}", viewed=frozenset(views[start:end].tolist()))
+            for i, (start, end) in enumerate(zip([0] + ends, ends))]
+
+
+view_bounds = st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels=label_vectors, n_sessions=st.integers(1, 300), bounds=view_bounds,
+       purity=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32),
+       treated=st.lists(st.booleans(), min_size=N, max_size=N))
+@example(labels=[0] * N, n_sessions=1, bounds=[6, 6], purity=1.0, seed=0,
+         treated=[True, False] * (N // 2))
+def test_generate_matches_frozenset_reference(labels, n_sessions, bounds, purity, seed,
+                                              treated):
+    part = Partition.from_labels(labels)
+    args = (part, n_sessions, *bounds, purity, seed)
+    expected = reference_generate_sessions(*args)
+    assert generate_sessions(*args) == expected
+
+    indptr, article = _generate(*args)
+    assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
+        [sorted(s.viewed) for s in expected]
+    ref_indptr, ref_article = _csr(expected, N)
+    got, want = _graph(indptr, article, N), _graph(ref_indptr, ref_article, N)
+    for attr in ("src", "dst", "w"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    treated = np.array(treated)
+    assert _exposure(indptr, article, treated) == _exposure(ref_indptr, ref_article, treated)
