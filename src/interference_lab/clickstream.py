@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .demand import Partition, atomic_write
+from .demand import Partition, atomic_write, csv_records
 from .experiment import Assignment
 
 logger = logging.getLogger(__name__)
@@ -125,11 +125,16 @@ def _generate(partition: Partition, n_sessions: int, views_min: int, views_max: 
     anywhere = rng.integers(0, n, total)
     views = np.where(stay, members[in_cluster], anywhere)
 
-    # One sort groups the views by session, and dropping repeats dedups them
-    # (with numpy 2.4, a bare np.unique of these keys takes about 30 times as long).
-    key = np.sort(np.repeat(np.arange(n_sessions), counts) * n + views)
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    key = _unique(np.repeat(np.arange(n_sessions), counts) * n + views)
     return np.searchsorted(key, np.arange(n_sessions + 1) * n), key % n
+
+
+def _unique(key: np.ndarray) -> np.ndarray:
+    """``np.unique(key)`` by a sort; numpy 2.4's bare np.unique hashes, 30 times slower."""
+    key = np.sort(key)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return key[first]
 
 
 def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
@@ -157,33 +162,22 @@ def _read_csr(path, n_articles: int | None = None
     code, article = array("q"), array("q")
     # Ids must fit in int64 even when no article count is declared.
     limit = 2**63 if n_articles is None else n_articles
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and [h.strip() for h in header] != ["session_id", "article_id"]:
-            raise ValueError(f"{path}: expected header 'session_id,article_id'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            sid, raw = row
-            try:
-                a = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-integer article_id at line {lineno}"
-                ) from None
-            if not 0 <= a < limit:
-                raise ValueError(f"{path}: unknown article id {a} at line {lineno}")
-            code.append(codes.setdefault(sid, len(codes)))
-            article.append(a)
+    empty = path.stat().st_size == 0
+    for line, (sid, raw) in () if empty else csv_records(path, ["session_id", "article_id"]):
+        try:
+            a = int(raw)
+        except ValueError:
+            raise ValueError(f"{path}: non-integer article_id at line {line}") from None
+        if not 0 <= a < limit:
+            raise ValueError(f"{path}: unknown article id {a} at line {line}")
+        code.append(codes.setdefault(sid, len(codes)))
+        article.append(a)
     # One sort dedups the rows and groups them by session; ranking the ids
     # first keeps the (session, rank) key far below 2**63.
     ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
-    key = np.unique(np.frombuffer(code, dtype=np.int64) * ids.size + rank)
+    key = _unique(np.frombuffer(code, dtype=np.int64) * ids.size + rank)
     indptr = np.searchsorted(key, np.arange(len(codes) + 1) * ids.size)
-    return (None if header is None else list(codes)), indptr, ids[key % ids.size]
+    return (None if empty else list(codes)), indptr, ids[key % ids.size]
 
 
 def read_sessions(path, n_articles: int | None = None) -> list[Session]:

@@ -10,11 +10,14 @@ therefore computable exactly.
 
 The structured representation (own vector, per-cluster beta, scalar
 background) evaluates in O(n); ``dense_oracle`` materializes E and serves as
-a brute-force cross-check.
+a brute-force cross-check. Every other module imports this one, so it also
+holds their file helpers: ``atomic_write`` for every output and
+``csv_records``, the one reader of CSV inputs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -47,6 +50,29 @@ def atomic_write(path):
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def csv_records(path, header: list[str]):
+    """Yield ``(line, row)``, one at a time, for each record after the header of ``path``.
+
+    The UTF-8 CSV file's stripped header must equal ``header``, and each record
+    that is not blank must have ``len(header)`` fields; ``line`` counts records
+    from the header's 1. A violation, an oversized field or a byte that is not
+    UTF-8 is one ``ValueError`` naming ``path``.
+    """
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            records = csv.reader(fh)
+            if [h.strip() for h in next(records, [])] != header:
+                raise ValueError(f"{path}: expected header '{','.join(header)}'")
+            for line, row in enumerate(records, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: malformed row at line {line}")
+                yield line, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Metric(Enum):
@@ -123,14 +149,17 @@ class ElasticityStructure:
             raise ValueError(f"own must have shape ({n},)")
         if within.shape != (k,):
             raise ValueError(f"within must have shape ({k},)")
-        if not (own < 0).all():
-            raise ValueError("own-price elasticities must be strictly negative")
-        if self.background < 0:
-            raise ValueError("background elasticity must be >= 0")
+        # -inf passes a sign check, and nan fails every comparison.
+        if not (np.isfinite(own) & (own < 0)).all():
+            raise ValueError("own-price elasticities (own) must be finite and < 0")
+        if not 0 <= self.background < math.inf:
+            raise ValueError(f"background elasticity must be finite and >= 0, "
+                             f"not {self.background}")
         sizes = self.partition.sizes()
         multi = sizes > 1
-        if (within < 0).any():
-            raise ValueError("within-cluster elasticities must be >= 0")
+        if not (np.isfinite(within) & (within >= 0)).all():
+            raise ValueError("within-cluster elasticities (within_beta) must be finite "
+                             "and >= 0")
         # Sharp differentiation: within-cluster substitution dominates the
         # background. A zero beta on a multi-article cluster is only
         # meaningful in fully interference-free systems (background == 0).
@@ -173,8 +202,9 @@ class DemandSystem:
         n = self.elasticity.n
         if p.shape != (n,) or q.shape != (n,):
             raise ValueError("base prices/quantities must match article count")
-        if not (p > 0).all() or not (q > 0).all():
-            raise ValueError("base prices and quantities must be strictly positive")
+        if not (np.isfinite(p) & (p > 0) & np.isfinite(q) & (q > 0)).all():
+            raise ValueError("base prices and quantities (base_prices, base_quantities) "
+                             "must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -217,6 +247,16 @@ class DemandSystem:
         if unknown:
             raise ValueError("demand system key 'config' has unknown field(s): "
                              f"{', '.join(unknown)}")
+        if config:
+            config = GeneratorConfig(**config)
+            try:
+                config.validate()
+            except ValueError as exc:
+                raise ValueError(f"demand system key 'config': {exc}") from None
+        seed = d.get("seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError(f"demand system key 'seed' must be an integer or null, "
+                             f"not {seed!r}")
         partition = Partition(np.asarray(d["partition"], dtype=np.int64))
         elasticity = ElasticityStructure(
             own=np.asarray(d["own"], dtype=float),
@@ -224,13 +264,12 @@ class DemandSystem:
             background=float(background),
             partition=partition,
         )
-        config = GeneratorConfig(**config) if config else None
         return cls(
             base_prices=np.asarray(d["base_prices"], dtype=float),
             base_quantities=np.asarray(d["base_quantities"], dtype=float),
             elasticity=elasticity,
-            seed=d.get("seed"),
-            config=config,
+            seed=seed,
+            config=config or None,
         )
 
     def save(self, path) -> None:
@@ -283,7 +322,10 @@ class GeneratorConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, kind = getattr(self, f.name), type(f.default)
+            # True is not a number here; an integer may stand for a float.
+            if isinstance(value, bool) or not isinstance(value, (kind, int, np.integer)):
+                raise ValueError(f"{f.name} must be {kind.__name__}, not {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, not {value}")
         if self.n < 1:
@@ -407,7 +449,9 @@ def global_treatment_effect(system: DemandSystem, policy: PricePolicy,
                             metric: Metric) -> float:
     """Relative lift of rolling the policy out to every article; always finite."""
     mu = np.full(system.n, policy.treated_multiplier)
-    gte = outcome(system, mu, metric) / outcome(system, np.ones(system.n), metric) - 1.0
+    # The result is checked below, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gte = outcome(system, mu, metric) / outcome(system, np.ones(system.n), metric) - 1.0
     if not np.isfinite(gte):
         raise ValueError(f"the global treatment effect is not finite ({gte}): the policy "
                          "is out of floating-point range for this system")

@@ -194,17 +194,19 @@ def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple
     quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, s + 1]``.
     """
     out = []
-    for k in ks:
-        lifts = []
-        for policy, stream, sigma in experiments:
-            seed, noise = [*master, int(k)], None
-            if stream is not None:
-                noise_rng = np.random.default_rng(seed + [stream + 1])
-                noise = np.exp(noise_rng.normal(0.0, sigma, system.n))
-                seed.append(stream)
-            a = assign(strategy, system.n, np.random.default_rng(seed))
-            lifts.append(run_experiment(system, a, policy, metric, noise=noise).lift)
-        out.append(tuple(lifts))
+    # ``_map_draws`` checks the lifts; the error state must be set here, in the worker.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            lifts = []
+            for policy, stream, sigma in experiments:
+                seed, noise = [*master, int(k)], None
+                if stream is not None:
+                    noise_rng = np.random.default_rng(seed + [stream + 1])
+                    noise = np.exp(noise_rng.normal(0.0, sigma, system.n))
+                    seed.append(stream)
+                a = assign(strategy, system.n, np.random.default_rng(seed))
+                lifts.append(run_experiment(system, a, policy, metric, noise=noise).lift)
+            out.append(tuple(lifts))
     return out
 
 
@@ -330,8 +332,8 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
     runs = [(PricePolicy(1.0), 0, noise_sigma), (policy, 2, noise_sigma)]
     aa, treated = _map_draws(system, strategy, metric, [seed], runs, p, workers)

@@ -9,10 +9,10 @@ half-width.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
+
+from .demand import csv_records
 
 DEFAULT_CI_DIVISOR = 1.96  # +/- half-width read as a 95% confidence interval
 
@@ -62,21 +62,11 @@ def compare(inp: MetaExperimentInput,
 
 def read_inputs(path) -> list[MetaExperimentInput]:
     """Read `label,est_clustered,ci_halfwidth,est_article` rows."""
-    expected = ["label", "est_clustered", "ci_halfwidth", "est_article"]
     rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            try:
-                rows.append(MetaExperimentInput(row[0], float(row[1]),
-                                                float(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for line, (label, *values) in csv_records(
+            path, ["label", "est_clustered", "ci_halfwidth", "est_article"]):
+        try:
+            rows.append(MetaExperimentInput(label, *map(float, values)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
     return rows

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import csv
 import math
-from pathlib import Path
 
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
-from .demand import Partition, atomic_write
+from .demand import Partition, atomic_write, csv_records
 from .experiment import BiasReport, CoverageReport, SweepRow
 from .metaexp import MetaComparison, MetaExperimentInput
 
@@ -86,20 +85,14 @@ def write_partition(path, partition: Partition) -> None:
 
 def read_partition(path) -> Partition:
     labels = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PARTITION_HEADER:
-            raise ValueError(f"{path}: expected header 'article_id,cluster_id'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            try:
-                labels[int(row[0])] = int(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: non-integer id at line {lineno}") from None
+    for line, row in csv_records(path, PARTITION_HEADER):
+        try:
+            article, cluster = int(row[0]), int(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: non-integer id at line {line}") from None
+        if article in labels:
+            raise ValueError(f"{path}: duplicate article id {article} at line {line}")
+        labels[article] = cluster
     if not labels:
         raise ValueError(f"{path}: empty partition file")
     if sorted(labels) != list(range(len(labels))):

@@ -162,6 +162,18 @@ def test_criterion_04a_bias_growth_and_cluster_unbiasedness(
         assert elapsed < 600.0
 
 
+def test_criterion_04a_bias_reaches_100pct_without_a_near_zero_gte(
+        substitution_sweep, announce):
+    """4a's ``max(bias) >= 1`` comes from phi = 0.6, where the revenue GTE is
+    about 0.00035, so a near-zero denominator alone could meet it. The
+    large-n limit of the estimator gives a bias of 2.05 at phi = 0.4, where
+    the GTE is 0.026; the claim must hold on some row whose |GTE| >= 0.02.
+    """
+    with announce("criterion 4a (bias >= 100% where |GTE| >= 0.02)"):
+        article, _, _ = substitution_sweep
+        assert any(r.mean_bias >= 1.0 for r in article if abs(r.gte) >= 0.02)
+
+
 def relative_sd_standard_error(report) -> float:
     """Monte-Carlo standard error of ``report.relative_sd``.
 

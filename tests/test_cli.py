@@ -2,6 +2,11 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +160,59 @@ class TestSimulate:
         assert run(["simulate", "--system", path, "--p", "4", "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("config.within_share", "x", "within_share"), ("config.n", "5", "n must be int"),
+        ("config.n", True, "n must be int"), ("config.own_spread", math.nan, "own_spread"),
+        ("background", math.nan, "background"), ("within_beta.0", math.nan, "within_beta"),
+        ("own.0", -math.inf, "(own)"), ("base_prices.0", math.inf, "base_prices"),
+        ("seed", "abc", "'seed'")])
+    def test_badly_typed_or_non_finite_system_value_is_one_error_line(
+            self, system_path, tmp_path, capsys, key, value, named):
+        system = json.loads(system_path.read_text())
+        *parents, last = key.split(".")
+        node = system
+        for part in parents:
+            node = node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+        path, out = tmp_path / "bad.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(system))
+        assert run(["simulate", "--system", path, "--p", "4", "--workers", "1",
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["simulate", "--multiplier", "1e-300"], "global treatment effect"),
+        (["coverage", "--multiplier", "1e-110"], "experiment estimate"),
+        (["simulate", "--multiplier", "1e-110", "--workers", "2"], "experiment estimate"),
+        (["coverage", "--noise-sigma", "inf"], "noise_sigma must be finite"),
+    ])
+    def test_out_of_range_run_is_exactly_one_stderr_line(self, system_path, tmp_path,
+                                                         flags, message):
+        # Run as a child process: pytest captures numpy's warnings in-process, and
+        # pool workers write to the process's own stderr.
+        out = tmp_path / "o.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "interference_lab.cli", *flags, "--system",
+             str(system_path), "--p", "10", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+
+    def test_repeated_partition_article_id_is_one_error_line(self, system_path, tmp_path,
+                                                             capsys):
+        part = tmp_path / "part.csv"
+        part.write_text("article_id,cluster_id\n0,0\n1,1\n0,1\n")
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--system", system_path, "--strategy", "cluster",
+                    "--partition", part, "--p", "4", "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {part}: duplicate article id 0 at line 4\n"
         assert not out.exists()
 
 
@@ -363,6 +421,35 @@ class TestMeta:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestUnreadableInputFile:
+    """An oversized field or a byte that is not UTF-8, in each CSV input of each command."""
+
+    HEADERS = {"sessions": "session_id,article_id", "partition": "article_id,cluster_id",
+               "meta": "label,est_clustered,ci_halfwidth,est_article"}
+    COMMANDS = [("sessions", ["cluster", "--sessions"]),
+                ("sessions", ["exposure", "--sessions"]),
+                ("sessions", ["frontier", "--p", "4", "--sessions"]),
+                ("partition", ["simulate", "--strategy", "cluster", "--p", "4", "--partition"]),
+                ("meta", ["meta", "--in"])]
+
+    @pytest.mark.parametrize("kind,command", COMMANDS)
+    @pytest.mark.parametrize("field,message", [
+        (b"1" * 200_000, "field larger than field limit"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff")], ids=["oversized", "not-utf8"])
+    def test_is_one_error_line_naming_the_file(self, system_path, tmp_path, capsys, kind,
+                                               command, field, message):
+        infile = tmp_path / "in.csv"
+        width = self.HEADERS[kind].count(",")
+        infile.write_bytes(self.HEADERS[kind].encode() + b"\n0" + b",0" * (width - 1)
+                           + b"," + field + b"\n")
+        system = [] if kind == "meta" else ["--system", system_path]
+        out = tmp_path / "o.csv"
+        assert run([*command, infile, *system, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {infile}: ") and message in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestCoverage:

@@ -22,6 +22,7 @@ from interference_lab import (
     global_treatment_effect,
     outcome,
 )
+from interference_lab.demand import csv_records
 
 
 def make_system(own, labels, within, background=0.0, prices=None, quantities=None):
@@ -74,6 +75,20 @@ class TestElasticityStructure:
     def test_rejects_within_below_background(self):
         with pytest.raises(ValueError):
             make_system([-2.0, -2.0], [0, 0], [0.01], background=0.05)
+
+    @pytest.mark.parametrize("own,within,background", [
+        ([-math.inf, -2.0], [0.5], 0.0), ([-2.0, -2.0], [math.nan], 0.0),
+        ([-2.0, -2.0], [math.inf], 0.0), ([-2.0, -2.0], [0.5], math.nan),
+        ([-2.0, -2.0], [0.5], math.inf)])
+    def test_rejects_non_finite_elasticities(self, own, within, background):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_system(own, [0, 0], within, background=background)
+
+    @pytest.mark.parametrize("prices,quantities", [([math.inf, 1.0], None),
+                                                   (None, [1.0, math.nan])])
+    def test_rejects_non_finite_prices_and_quantities(self, prices, quantities):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_system([-2.0, -2.0], [0, 0], [0.5], prices=prices, quantities=quantities)
 
     def test_zero_within_allowed_without_background(self):
         system = make_system([-2.0, -2.0], [0, 0], [0.0], background=0.0)
@@ -276,3 +291,34 @@ def test_math_consistency_units_vs_revenue():
     rev = outcome(system, mu, Metric.REVENUE)
     assert rev == pytest.approx(float((mu * system.base_prices * q).sum()), rel=1e-12)
     assert math.isfinite(rev)
+
+
+class TestCsvRecords:
+    HEADER = ["a", "b"]
+
+    def test_yields_record_numbers_and_skips_blank_records(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(' a , b\n1,"x,y"\n\n2,3\n', encoding="utf-8")
+        assert list(csv_records(path, self.HEADER)) == [(2, ["1", "x,y"]), (4, ["2", "3"])]
+
+    def test_streams_records_before_a_later_error(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("a,b\n1,2\n3\n", encoding="utf-8")
+        records = csv_records(path, self.HEADER)
+        assert next(records) == (2, ["1", "2"])
+        with pytest.raises(ValueError, match="malformed row at line 3"):
+            next(records)
+
+    @pytest.mark.parametrize("data,message", [
+        (b"", "expected header 'a,b'"),
+        (b"a,c\n1,2\n", "expected header 'a,b'"),
+        (b"a,b\n1,2,3\n", "malformed row at line 2"),
+        (b"a,b\n1," + b"x" * 200_000 + b"\n", "field larger than field limit"),
+        (b"a,b\n1,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_errors_are_one_value_error_naming_the_file(self, tmp_path, data, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            list(csv_records(path, self.HEADER))
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)

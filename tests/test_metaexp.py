@@ -91,3 +91,10 @@ class TestReadInputs:
                         f"a,0.41,0.05,0.61\n{row}\n")
         with pytest.raises(ValueError, match="line 3: .* must be finite"):
             read_inputs(path)
+
+    def test_header_message_names_the_expected_header(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("label,est\nx,1\n")
+        with pytest.raises(ValueError, match=r"meta\.csv: expected header "
+                           r"'label,est_clustered,ci_halfwidth,est_article'$"):
+            read_inputs(path)

@@ -110,3 +110,9 @@ class TestPartitionIO:
         path.write_text("article_id,cluster_id\n0,0\nx,1\n")
         with pytest.raises(ValueError, match=r"part\.csv: non-integer id at line 3"):
             read_partition(path)
+
+    def test_rejects_repeated_article_id(self, tmp_path):
+        path = tmp_path / "part.csv"
+        path.write_text("article_id,cluster_id\n0,0\n1,1\n0,1\n")
+        with pytest.raises(ValueError, match=r"part\.csv: duplicate article id 0 at line 4$"):
+            read_partition(path)
