@@ -38,6 +38,7 @@ from .experiment import (
     BiasReport,
     ClusterLevel,
     _parallel_map,
+    _pool,
     assign,
     monte_carlo_bias,
 )
@@ -217,9 +218,12 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
-    The ``workers`` processes run the per-gamma Louvain calls side by side as
-    well as the Monte-Carlo draws; each call is a pure function of (graph,
-    gamma, seed), so the rows are the same for any worker count.
+    One pool of ``workers`` processes serves the whole call. Every Louvain
+    call is sent to it at once, and the partitions are taken in gamma order
+    as they finish, so a gamma's exposure draws (in this process) and
+    Monte-Carlo draws (in the pool) run while later Louvain calls still run.
+    Each job is a pure function of its arguments, so the rows are the same
+    for any worker count.
 
     With the generator's per-article heterogeneity, ``relative_sd`` does not
     rise as gamma falls: partitions that keep true clusters whole spread
@@ -241,35 +245,39 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
     for _, gamma in order:
         _check_gamma(gamma)
     graph = _graph(indptr, article, system.n)
-    parts = _parallel_map(louvain, [(graph, gamma, seed) for _, gamma in order], workers)
     points = []
-    for (idx, gamma), part in zip(order, parts):
-        q = modularity(graph, part, gamma)
-        k = part.n_clusters
-        if k < 2:
+    with _pool(workers):
+        # Partitions arrive in gamma order as their calls finish; each gamma's
+        # Monte-Carlo chunks queue behind the Louvain calls still running.
+        parts = _parallel_map(louvain, [(graph, gamma, seed) for _, gamma in order])
+        for (idx, gamma), part in zip(order, parts):
+            q = modularity(graph, part, gamma)
+            k = part.n_clusters
+            if k < 2:
+                points.append(FrontierPoint(
+                    resolution=float(gamma), n_clusters=k,
+                    avg_cluster_size=system.n / k, modularity=q,
+                    share_both=float("nan"), share_both_sd=float("nan"),
+                    mean_bias=float("nan"), relative_sd=float("nan"), defined=False))
+                continue
+            strategy = ClusterLevel(part)
+            shares = []
+            for d in range(exposure_draws):
+                rng = np.random.default_rng([seed, idx, 1, d])
+                treated = assign(strategy, system.n, rng).treated
+                shares.append(_exposure(indptr, article, treated).share_both)
+            shares = np.asarray(shares)
+            report: BiasReport = monte_carlo_bias(system, strategy, policy, metric, p,
+                                                  master_seed=[seed, idx, 2],
+                                                  workers=workers)
             points.append(FrontierPoint(
-                resolution=float(gamma), n_clusters=k,
-                avg_cluster_size=system.n / k, modularity=q,
-                share_both=float("nan"), share_both_sd=float("nan"),
-                mean_bias=float("nan"), relative_sd=float("nan"), defined=False))
-            continue
-        strategy = ClusterLevel(part)
-        shares = []
-        for d in range(exposure_draws):
-            rng = np.random.default_rng([seed, idx, 1, d])
-            treated = assign(strategy, system.n, rng).treated
-            shares.append(_exposure(indptr, article, treated).share_both)
-        shares = np.asarray(shares)
-        report: BiasReport = monte_carlo_bias(system, strategy, policy, metric, p,
-                                              master_seed=[seed, idx, 2], workers=workers)
-        points.append(FrontierPoint(
-            resolution=float(gamma),
-            n_clusters=k,
-            avg_cluster_size=system.n / k,
-            modularity=q,
-            share_both=float(shares.mean()),
-            share_both_sd=float(shares.std(ddof=1)) if shares.size > 1 else 0.0,
-            mean_bias=report.mean_bias,
-            relative_sd=report.relative_sd,
-        ))
+                resolution=float(gamma),
+                n_clusters=k,
+                avg_cluster_size=system.n / k,
+                modularity=q,
+                share_both=float(shares.mean()),
+                share_both_sd=float(shares.std(ddof=1)) if shares.size > 1 else 0.0,
+                mean_bias=report.mean_bias,
+                relative_sd=report.relative_sd,
+            ))
     return points

@@ -94,9 +94,11 @@ class Partition:
         if labels.min() < 0:
             raise ValueError("cluster ids must be non-negative")
         k = int(labels.max()) + 1
-        counts = np.bincount(labels, minlength=k)
-        if (counts == 0).any():
+        # More ids than labels leave a cluster empty; checked before bincount allocates k.
+        if k > labels.size or (np.bincount(labels, minlength=k) == 0).any():
             raise ValueError("cluster ids must be contiguous with no empty cluster")
+        # Read once per draw by demand_at and cluster-level assign.
+        object.__setattr__(self, "_n_clusters", k)
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
@@ -118,7 +120,7 @@ class Partition:
 
     @property
     def n_clusters(self) -> int:
-        return int(self.cluster_of.max()) + 1
+        return self._n_clusters
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.cluster_of, minlength=self.n_clusters)
@@ -257,16 +259,20 @@ class DemandSystem:
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ValueError(f"demand system key 'seed' must be an integer or null, "
                              f"not {seed!r}")
-        partition = Partition(np.asarray(d["partition"], dtype=np.int64))
+        labels = _json_array(d, "partition", np.int64)
+        try:
+            partition = Partition(labels)
+        except ValueError as exc:
+            raise ValueError(f"demand system key 'partition': {exc}") from None
         elasticity = ElasticityStructure(
-            own=np.asarray(d["own"], dtype=float),
-            within=np.asarray(d["within_beta"], dtype=float),
+            own=_json_array(d, "own", float),
+            within=_json_array(d, "within_beta", float),
             background=float(background),
             partition=partition,
         )
         return cls(
-            base_prices=np.asarray(d["base_prices"], dtype=float),
-            base_quantities=np.asarray(d["base_quantities"], dtype=float),
+            base_prices=_json_array(d, "base_prices", float),
+            base_quantities=_json_array(d, "base_quantities", float),
             elasticity=elasticity,
             seed=seed,
             config=config or None,
@@ -279,7 +285,28 @@ class DemandSystem:
 
     @classmethod
     def load(cls, path) -> "DemandSystem":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls.from_dict(d)
+
+
+def _json_array(d: dict, key: str, dtype) -> np.ndarray:
+    """System JSON key ``key`` as a ``dtype`` array: a JSON array of integers
+    for an integer ``dtype``, else of numbers (``true`` is neither)."""
+    values = d[key]
+    kinds, what = ((int,), "integers") if dtype is np.int64 else ((int, float), "numbers")
+    if not isinstance(values, list):
+        raise ValueError(f"demand system key '{key}' must be an array of {what}, "
+                         f"not {values!r}")
+    bad = [v for v in values if type(v) not in kinds]
+    if bad:
+        raise ValueError(f"demand system key '{key}' must hold only {what}, not {bad[0]!r}")
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"demand system key '{key}' holds a number out of range") from None
 
 
 @dataclass(frozen=True)

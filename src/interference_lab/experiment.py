@@ -11,7 +11,9 @@ mechanism of naive A/A-calibrated intervals.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,11 +212,45 @@ def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple
     return out
 
 
-def _parallel_map(fn, jobs, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
+# The process pool of the outermost ``_pool`` block open in this thread, if any.
+_active_pool: contextvars.ContextVar = contextvars.ContextVar("_active_pool", default=None)
+
+
+@contextmanager
+def _pool(workers: int):
+    """Run the block with one pool of ``workers`` processes for every ``_parallel_map``.
+
+    Re-entrant: a block inside another reuses the outer block's pool, so
+    each outermost call (``monte_carlo_bias``, ``coverage_analysis``,
+    ``sweep_substitution``, ``frontier``) starts its workers at most once.
+    With ``workers`` <= 1 no pool is opened. When the outermost block exits,
+    normally or by an exception, pending jobs are cancelled and the workers
+    are joined, so no worker process outlives it.
+    """
+    if workers <= 1 or _active_pool.get() is not None:
+        yield
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    token = _active_pool.set(pool)
+    try:
+        yield
+    finally:
+        _active_pool.reset(token)
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _parallel_map(fn, jobs):
+    """``fn(*job)`` for each job, in order.
+
+    While a ``_pool`` block holds a pool, every job is sent to it at once and
+    the result is ``pool.map``'s lazy iterator, so the caller can use the
+    first results while later jobs still run. Otherwise, or with a single
+    job, the jobs run here and the result is a list.
+    """
+    pool = _active_pool.get()
+    if pool is None or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_star, [(fn, job) for job in jobs]))
+    return pool.map(_star, [(fn, job) for job in jobs])
 
 
 def _star(packed):
@@ -227,9 +263,12 @@ def _map_draws(system, strategy, metric, master, experiments, p: int,
     """Lifts of draws 0..p-1 of each experiment, one row per experiment."""
     chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
     jobs = [(system, strategy, metric, master, experiments, ks) for ks in chunks]
-    lifts = np.asarray([x for part in _parallel_map(_draw_chunk, jobs, workers) for x in part])
+    with _pool(workers):
+        lifts = np.asarray([x for part in _parallel_map(_draw_chunk, jobs) for x in part])
     if not np.isfinite(lifts).all():
-        raise ValueError("an experiment estimate is not finite: the policy is out of "
+        cause = ("the policy or noise_sigma is" if any(sigma for _, _, sigma in experiments)
+                 else "the policy is")
+        raise ValueError(f"an experiment estimate is not finite: {cause} out of "
                          "floating-point range for this system")
     return lifts.T
 
@@ -300,22 +339,24 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
 
     ``strategies`` entries are either strategy instances or the labels
     "article"/"cluster"; "cluster" uses the fresh system's ground-truth
-    partition. Rows come out in (phi, strategy) order.
+    partition. Rows come out in (phi, strategy) order, and all of them share
+    one pool of ``workers`` processes.
     """
     rows = []
-    for i, phi in enumerate(phis):
-        if not 0 <= phi < 1:
-            raise ValueError("phi values must lie in [0, 1)")
-        system = generate_demand_system(replace(config, within_share=float(phi)), seed)
-        for j, strat in enumerate(strategies):
-            if strat == "article":
-                strat = ArticleLevel()
-            elif strat == "cluster":
-                strat = ClusterLevel(system.partition)
-            report = monte_carlo_bias(system, strat, policy, metric, p,
-                                      master_seed=[seed, i, j], workers=workers)
-            rows.append(SweepRow(phi=float(phi), strategy=strategy_label(strat),
-                                 report=report))
+    with _pool(workers):
+        for i, phi in enumerate(phis):
+            if not 0 <= phi < 1:
+                raise ValueError("phi values must lie in [0, 1)")
+            system = generate_demand_system(replace(config, within_share=float(phi)), seed)
+            for j, strat in enumerate(strategies):
+                if strat == "article":
+                    strat = ArticleLevel()
+                elif strat == "cluster":
+                    strat = ClusterLevel(system.partition)
+                report = monte_carlo_bias(system, strat, policy, metric, p,
+                                          master_seed=[seed, i, j], workers=workers)
+                rows.append(SweepRow(phi=float(phi), strategy=strategy_label(strat),
+                                     report=report))
     return rows
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -167,7 +169,10 @@ class TestSimulate:
         ("config.n", True, "n must be int"), ("config.own_spread", math.nan, "own_spread"),
         ("background", math.nan, "background"), ("within_beta.0", math.nan, "within_beta"),
         ("own.0", -math.inf, "(own)"), ("base_prices.0", math.inf, "base_prices"),
-        ("seed", "abc", "'seed'")])
+        ("seed", "abc", "'seed'"), ("partition.0", 0.5, "'partition' must hold only integers"),
+        ("partition.0", "x", "'partition'"), ("own.0", "x", "'own' must hold only numbers"),
+        ("within_beta.0", True, "'within_beta'"), ("base_quantities.0", None,
+                                                  "'base_quantities'")])
     def test_badly_typed_or_non_finite_system_value_is_one_error_line(
             self, system_path, tmp_path, capsys, key, value, named):
         system = json.loads(system_path.read_text())
@@ -189,6 +194,10 @@ class TestSimulate:
         (["coverage", "--multiplier", "1e-110"], "experiment estimate"),
         (["simulate", "--multiplier", "1e-110", "--workers", "2"], "experiment estimate"),
         (["coverage", "--noise-sigma", "inf"], "noise_sigma must be finite"),
+        (["coverage", "--noise-sigma", "1e300", "--workers", "1"],
+         "the policy or noise_sigma is out of floating-point range"),
+        (["coverage", "--noise-sigma", "1e300", "--workers", "2"],
+         "the policy or noise_sigma is out of floating-point range"),
     ])
     def test_out_of_range_run_is_exactly_one_stderr_line(self, system_path, tmp_path,
                                                          flags, message):
@@ -203,6 +212,20 @@ class TestSimulate:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and message in proc.stderr
         assert proc.stderr.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("data,message", [
+        (b"{'n': 2}", "Expecting property name enclosed in double quotes"),
+        (b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded")],
+        ids=["not-json", "not-utf8", "too-deep"])
+    def test_unreadable_system_file_is_one_error_line_naming_it(self, tmp_path, capsys,
+                                                                data, message):
+        path, out = tmp_path / "sys.json", tmp_path / "o.csv"
+        path.write_bytes(data)
+        assert run(["simulate", "--system", path, "--p", "4", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_repeated_partition_article_id_is_one_error_line(self, system_path, tmp_path,
                                                              capsys):
@@ -461,6 +484,57 @@ class TestCoverage:
         rows = read_rows(out)
         assert rows[0] == COVERAGE_HEADER
         assert 0.0 <= float(rows[1][1]) <= 1.0
+
+
+class TestWorkerPool:
+    """Each command runs on one pool, and no worker process outlives the command."""
+
+    FRONTIER = ["frontier", "--n-sessions", "1500", "--gammas", "0.5,1,4", "--p", "8",
+                "--exposure-draws", "4"]
+    SWEEP = ["sweep", "--n", "80", "--phis", "0.1,0.3,0.6", "--p", "8"]
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        built = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return built
+
+    def _run(self, command, system_path, out, workers=2):
+        system = ["--system", system_path] if command[0] == "frontier" else []
+        return run([*command, *system, "--workers", workers, "--out", out])
+
+    @pytest.mark.parametrize("command", [FRONTIER, SWEEP], ids=["frontier", "sweep"])
+    def test_one_pool_per_command(self, system_path, tmp_path, pools, command):
+        pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+        assert self._run(command, system_path, pooled) == 0
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert self._run(command, system_path, serial, workers=1) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("command,message", [
+        # Every session views one article, so each Louvain job raises in a worker.
+        (FRONTIER + ["--views-min", "1", "--views-max", "1"],
+         "louvain requires a graph with positive total weight"),
+        # The first gamma fails in this process while later Louvain jobs are pending.
+        (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite"),
+        (SWEEP[:4] + ["0.1,1.5"] + SWEEP[5:], "phi values must lie in [0, 1)"),
+    ], ids=["frontier-job", "frontier-parent", "sweep"])
+    def test_failure_is_one_error_line_and_leaves_no_worker(self, system_path, tmp_path,
+                                                            capfd, pools, command, message):
+        out = tmp_path / "o.csv"
+        assert self._run(command, system_path, out) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
 
 
 class TestConfigFile:

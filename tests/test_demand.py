@@ -55,6 +55,8 @@ class TestPartition:
     def test_rejects_gap_in_ids(self):
         with pytest.raises(ValueError):
             Partition(np.array([0, 2]))
+        with pytest.raises(ValueError, match="contiguous"):
+            Partition(np.array([0, 2**62]))
 
     def test_rejects_negative_and_empty(self):
         with pytest.raises(ValueError):
@@ -239,6 +241,33 @@ class TestSerialization:
                           "within_beta", "background", "base_prices",
                           "base_quantities"}
         assert d["n"] == 10
+
+    @pytest.mark.parametrize("key,entry,message", [
+        ("partition", 0.5, "must hold only integers, not 0.5"),
+        ("partition", True, "must hold only integers, not True"),
+        ("partition", "0", "must hold only integers, not '0'"),
+        ("partition", 10**30, "holds a number out of range"),
+        ("partition", 2**62, "'partition': cluster ids must be contiguous"),
+        ("own", "x", "must hold only numbers, not 'x'"),
+        ("own", None, "must hold only numbers, not None"),
+        ("within_beta", False, "must hold only numbers, not False"),
+        ("base_prices", [1.0], "must hold only numbers, not [1.0]"),
+        pytest.param("base_quantities", -10**400, "holds a number out of range",
+                     id="base_quantities--10**400"),
+    ])
+    def test_array_entry_of_the_wrong_type_names_the_key(self, key, entry, message):
+        d = generate_demand_system(GeneratorConfig(n=10), seed=1).to_dict()
+        d[key][0] = entry
+        with pytest.raises(ValueError, match=f"^demand system key '{key}'") as err:
+            DemandSystem.from_dict(d)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("key", ["partition", "own", "base_prices"])
+    def test_array_key_that_is_not_an_array_names_the_key(self, key):
+        d = generate_demand_system(GeneratorConfig(n=10), seed=1).to_dict()
+        d[key] = "12"
+        with pytest.raises(ValueError, match=f"key '{key}' must be an array of"):
+            DemandSystem.from_dict(d)
 
 
 class TestOutcomes:
