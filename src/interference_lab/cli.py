@@ -46,7 +46,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for Monte-Carlo permutations and "
-                             "frontier's per-gamma Louvain calls")
+                             "frontier's Louvain jobs")
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,9 +195,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    source, text = (("--seed", args.seed) if args.seed is not None
+                    else (f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")))
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise RuntimeError(f"{source} must be a non-negative integer, not {text!r}")
 
 
 def _resolve_workers(args) -> int:

@@ -15,6 +15,11 @@ Weights are integer counts, so no move decision depends on summation order.
 Local moving skips a node whose last visit found no move until a community
 it read gains or loses a node, since until then its inputs and so its
 verdict are unchanged; partitions are those of visiting every node.
+
+Local moving takes a tuple of gammas and gives up at the first visit where
+their verdicts differ. ``frontier`` runs the levels its gammas share once,
+then each gamma alone from the start of the first level where they differ;
+``louvain`` is the one-gamma case.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ def modularity(graph: SessionGraph, partition: Partition, gamma: float = 1.0) ->
 
 
 def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: float,
-                gamma: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One local-moving phase over a level's k nodes; returns (community per node, any_move).
+                gammas: tuple, rng: np.random.Generator) -> tuple[np.ndarray, bool] | None:
+    """One local-moving phase over a level's k nodes for every resolution in ``gammas``.
+
+    Returns (community per node, any_move), as for each gamma alone, or None at
+    the first visit where the gammas' verdicts differ (never with one gamma).
 
     Passes skip stable nodes without changing any move. A visit's verdict
     depends only on the node's community, its neighbours' communities (which
@@ -133,16 +141,22 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
             for j, w_ij in zip(nbr[ptr[i]:ptr[i + 1]], nbr_w[ptr[i]:ptr[i + 1]]):
                 links[comm[j]] = links.get(comm[j], 0.0) + w_ij
             base_in = links.get(current, 0.0)
-            best_comm, best_gain = current, 0.0
+            rest = sigma_tot[current] - d_i
             # ascending candidate order breaks near-ties toward the lowest id
-            for cand in sorted(links):
-                if cand == current:
-                    continue
-                gain = (links[cand] - base_in) / m - gamma * d_i * (
-                    sigma_tot[cand] - (sigma_tot[current] - d_i)
-                ) / two_m2
-                if gain > best_gain + GAIN_EPS:
-                    best_comm, best_gain = cand, gain
+            cands = sorted(links)
+            verdict = None
+            for gamma in gammas:
+                gamma_d = gamma * d_i
+                best_comm, best_gain = current, 0.0
+                for c in cands:
+                    if c == current:
+                        continue
+                    gain = (links[c] - base_in) / m - gamma_d * (sigma_tot[c] - rest) / two_m2
+                    if gain > best_gain + GAIN_EPS:
+                        best_comm, best_gain = c, gain
+                if verdict not in (None, best_comm):
+                    return None
+                verdict = best_comm
             if best_comm != current and best_gain > GAIN_EPS:
                 sigma_tot[current] -= d_i
                 sigma_tot[best_comm] += d_i
@@ -164,24 +178,26 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     return np.array(comm), any_move
 
 
-def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition:
-    """Greedy modularity maximization with local moving and aggregation.
+def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
+             state: tuple | None = None) -> tuple[Partition | None, tuple | None]:
+    """Louvain levels for all ``gammas`` together, from the first level or ``state``.
 
-    Moves are accepted only for a strict gain (> 1e-12); ties break toward
-    the lowest candidate community id; node visit order is shuffled per seed.
-    The returned partition never scores below the singleton partition, and
-    each of its clusters is connected.
+    Returns (partition, None) if the gammas agree to the end, else (None, the
+    src, dst, w, k, membership and RNG state at the start of the first level
+    where they differ), from which each gamma resumes alone as in ``louvain``.
     """
-    _check_gamma(gamma)
     m = graph.total_weight
     if m <= 0:
         raise ValueError("louvain requires a graph with positive total weight")
     rng = np.random.default_rng(seed)
-
-    src, dst, w, k = graph.src, graph.dst, graph.w, graph.n
-    membership = np.arange(graph.n)
+    src, dst, w, k, membership, rng.bit_generator.state = state or (
+        graph.src, graph.dst, graph.w, graph.n, np.arange(graph.n), rng.bit_generator.state)
     while True:
-        comm, moved = _local_move(src, dst, w, k, m, gamma, rng)
+        start = (src, dst, w, k, membership, rng.bit_generator.state)
+        level = _local_move(src, dst, w, k, m, gammas, rng)
+        if level is None:
+            return None, start
+        comm, moved = level
         if not moved:
             break
         # membership maps original node -> current-level node; comm now maps
@@ -206,8 +222,20 @@ def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition
         np.minimum.at(low, b, piece[a])
         low = low[low]
         if (low == piece).all():
-            return Partition.from_labels(piece)
+            return Partition.from_labels(piece), None
         piece = low
+
+
+def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition:
+    """Greedy modularity maximization with local moving and aggregation.
+
+    Moves are accepted only for a strict gain (> 1e-12); ties break toward
+    the lowest candidate community id; node visit order is shuffled per seed.
+    The returned partition never scores below the singleton partition, and
+    each of its clusters is connected.
+    """
+    _check_gamma(gamma)
+    return _louvain(graph, (gamma,), seed)[0]
 
 
 def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: PricePolicy,
@@ -218,10 +246,10 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
-    One pool of ``workers`` processes serves the whole call. Every Louvain
-    call is sent to it at once, and the partitions are taken in gamma order
-    as they finish, so a gamma's exposure draws (in this process) and
-    Monte-Carlo draws (in the pool) run while later Louvain calls still run.
+    One pool of ``workers`` processes serves the whole call. One Louvain job
+    runs the levels all gammas share, then one job per gamma the rest, so a
+    gamma's exposure draws (in this process) and Monte-Carlo draws (in the
+    pool) run while later gammas' Louvain jobs still run.
     Each job is a pure function of its arguments, so the rows are the same
     for any worker count.
 
@@ -247,9 +275,11 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
     graph = _graph(indptr, article, system.n)
     points = []
     with _pool(workers):
-        # Partitions arrive in gamma order as their calls finish; each gamma's
-        # Monte-Carlo chunks queue behind the Louvain calls still running.
-        parts = _parallel_map(louvain, [(graph, gamma, seed) for _, gamma in order])
+        # One job runs the levels all gammas share, then one job per gamma the rest;
+        # each gamma's Monte-Carlo chunks queue behind the Louvain jobs still running.
+        ((shared, state),) = _parallel_map(_louvain, [(graph, tuple(g for _, g in order), seed)])
+        parts = [shared] * len(order) if state is None else (part for part, _ in _parallel_map(
+            _louvain, [(graph, (gamma,), seed, state) for _, gamma in order]))
         for (idx, gamma), part in zip(order, parts):
             q = modularity(graph, part, gamma)
             k = part.n_clusters

@@ -316,8 +316,9 @@ class PricePolicy:
     treated_multiplier: float = 0.95
 
     def __post_init__(self):
-        if self.treated_multiplier <= 0:
-            raise ValueError("treated multiplier must be > 0")
+        if not 0 < self.treated_multiplier < math.inf:
+            raise ValueError(f"treated_multiplier must be finite and > 0, "
+                             f"not {self.treated_multiplier}")
 
 
 @dataclass(frozen=True)

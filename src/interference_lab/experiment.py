@@ -244,11 +244,11 @@ def _parallel_map(fn, jobs):
 
     While a ``_pool`` block holds a pool, every job is sent to it at once and
     the result is ``pool.map``'s lazy iterator, so the caller can use the
-    first results while later jobs still run. Otherwise, or with a single
-    job, the jobs run here and the result is a list.
+    first results while later jobs still run. Otherwise the jobs run here and
+    the result is a list.
     """
     pool = _active_pool.get()
-    if pool is None or len(jobs) <= 1:
+    if pool is None:
         return [fn(*job) for job in jobs]
     return pool.map(_star, [(fn, job) for job in jobs])
 

@@ -100,6 +100,16 @@ class TestSimulate:
         assert len(errors) == 1 and quantity in errors[0]
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("multiplier", ["nan", "inf"])
+    def test_non_finite_multiplier_is_one_error_line(self, system_path, tmp_path, capsys,
+                                                     multiplier):
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--system", system_path, "--multiplier", multiplier,
+                    "--p", "10", "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: treated_multiplier must be finite and > 0, not {multiplier}\n")
+        assert not out.exists()
+
     def test_overflowing_spread_is_runtime_error(self, tmp_path, capsys):
         system, out = tmp_path / "s.json", tmp_path / "o.csv"
         assert run(["gen", "--n", "200", "--seed", "1", "--out", system]) == 0
@@ -625,6 +635,23 @@ class TestSeedResolution:
         out = tmp_path / "s.json"
         assert run(["gen", *GEN_SMALL, "--seed", "3", "--out", out]) == 0
         assert DemandSystem.load(out).seed == 3
+
+    @pytest.mark.parametrize("flags,env,source,value", [
+        (["--seed", "-1"], None, "--seed", "-1"),
+        ([], "-3", "$INTERFERENCE_LAB_SEED", "'-3'"),
+        ([], "x", "$INTERFERENCE_LAB_SEED", "'x'"),
+    ], ids=["flag-negative", "env-negative", "env-not-an-integer"])
+    def test_bad_seed_names_its_source(self, tmp_path, monkeypatch, capsys, flags, env,
+                                       source, value):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        out = tmp_path / "s.json"
+        assert run(["gen", *GEN_SMALL, *flags, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source} must be a non-negative integer, not {value}\n")
+        assert not out.exists()
 
     def test_bad_workers(self, system_path, tmp_path, capsys):
         code = run(["simulate", "--system", system_path, "--workers", "0",

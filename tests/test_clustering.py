@@ -12,12 +12,14 @@ from interference_lab import (
     Partition,
     PricePolicy,
     SessionGraph,
+    build_graph,
     frontier,
     generate_demand_system,
     generate_sessions,
     louvain,
     modularity,
 )
+from interference_lab.clustering import _louvain
 
 
 def two_triangles() -> SessionGraph:
@@ -213,6 +215,27 @@ class TestFrontier:
                 for w in (1, 2, 3)}
         assert [r[0] for r in rows[1]] == [1e-6, 1.5, 4.0]
         assert [r[-1] for r in rows[1]] == [False, True, True]
+        np.testing.assert_equal(rows[2], rows[1])
+        np.testing.assert_equal(rows[3], rows[1])
+
+    @pytest.mark.parametrize("gammas,split_level_size", [((50.0, 10.0), 60), ((2.0, 0.8), None)],
+                             ids=["split-at-level-1", "never-split"])
+    def test_shared_louvain_rows_match_separate_calls(self, gammas, split_level_size):
+        cfg = GeneratorConfig(n=60, cluster_size_min=4, cluster_size_max=8,
+                              within_share=0.3, background_share=0.05)
+        system = generate_demand_system(cfg, seed=51)
+        sessions = generate_sessions(system.partition, 1500, 2, 4, purity=0.9, seed=52)
+        graph = build_graph(sessions, n=system.n)
+        state = _louvain(graph, tuple(sorted(gammas)), 53)[1]
+        assert (None if state is None else state[3]) == split_level_size
+        kwargs = dict(gammas=list(gammas), policy=PricePolicy(0.9), metric=Metric.UNITS,
+                      p=10, seed=53, exposure_draws=4)
+        rows = {w: [astuple(pt) for pt in frontier(system, sessions, workers=w, **kwargs)]
+                for w in (1, 2, 3)}
+        for gamma, row in zip(sorted(gammas), rows[1]):
+            part = louvain(graph, gamma, 53)
+            assert row[:4] == (gamma, part.n_clusters, system.n / part.n_clusters,
+                               modularity(graph, part, gamma))
         np.testing.assert_equal(rows[2], rows[1])
         np.testing.assert_equal(rows[3], rows[1])
 

@@ -313,6 +313,12 @@ def test_policy_validation():
     assert PricePolicy().treated_multiplier == 0.95
 
 
+@pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), -float("inf")])
+def test_policy_requires_a_finite_positive_multiplier(multiplier):
+    with pytest.raises(ValueError, match="treated_multiplier must be finite and > 0"):
+        PricePolicy(multiplier)
+
+
 def test_math_consistency_units_vs_revenue():
     system = generate_demand_system(GeneratorConfig(n=60), seed=11)
     mu = np.full(60, 0.9)

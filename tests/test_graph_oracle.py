@@ -36,6 +36,7 @@ from interference_lab import (
     read_sessions,
 )
 from interference_lab.clickstream import _csr, _exposure, _generate, _graph, _read_csr
+from interference_lab.clustering import _louvain
 
 N = 40
 # Short sessions (including single views) mixed with sessions of 30+ views.
@@ -203,6 +204,61 @@ def test_louvain_matches_dict_reference(sessions, seed, gamma):
     assume(g.total_weight > 0)
     np.testing.assert_array_equal(louvain(g, gamma, seed).cluster_of,
                                   reference_louvain(g, gamma, seed).cluster_of)
+
+
+# A 10-article clique and one co-viewed pair: m = 46, so the pair's articles
+# merge at gamma 50 (2 m > gamma) but not at gamma 200, on level 1.
+CLIQUE_AND_PAIR = [Session("clique", frozenset(range(30, 40))),
+                   Session("pair", frozenset({0, 1}))]
+# Duplicates, sets that agree through the last level, and sets that differ.
+gamma_sets = st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 50.0, 200.0]),
+                      min_size=2, max_size=4).map(tuple)
+
+
+def shared_partitions(graph, gammas, seed):
+    """Each gamma's partition from one shared run, resumed alone where the gammas differ."""
+    shared, state = _louvain(graph, gammas, seed)
+    if state is None:
+        return [shared] * len(gammas)
+    return [_louvain(graph, (gamma,), seed, state)[0] for gamma in gammas]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sessions=sparse_session_lists, seed=st.integers(0, 2**16), gammas=gamma_sets)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(50.0, 200.0))
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(200.0, 50.0, 200.0))
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(1.0, 1.0))
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(4.0, 16.0))
+def test_shared_levels_match_separate_louvain_calls(sessions, seed, gammas):
+    g = build_graph(sessions, n=N)
+    assume(g.total_weight > 0)
+    for gamma, part in zip(gammas, shared_partitions(g, gammas, seed)):
+        np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, seed).cluster_of)
+
+
+def test_shared_levels_stop_at_the_start_of_the_first_level_that_differs():
+    g = build_graph(CLIQUE_AND_PAIR, n=N)
+    part, state = _louvain(g, (50.0, 200.0), 3)
+    src, dst, w, k, membership, bits = state
+    assert part is None and k == N
+    np.testing.assert_array_equal(membership, np.arange(N))
+    np.testing.assert_array_equal(np.stack([src, dst, w]), np.stack([g.src, g.dst, g.w]))
+    assert bits == np.random.default_rng(3).bit_generator.state
+    # One gamma, or repeats of one, never differ; these two agree to the end.
+    for gammas in [(50.0,), (1.0, 1.0), (4.0, 16.0)]:
+        part, state = _louvain(g, gammas, 3)
+        assert state is None
+        np.testing.assert_array_equal(part.cluster_of, louvain(g, gammas[0], 3).cluster_of)
+
+
+def test_shared_levels_resume_from_an_aggregated_level():
+    system = generate_demand_system(GeneratorConfig(n=2000), 1)
+    g = build_graph(generate_sessions(system.partition, 6000, 2, 5, 0.9, 1), n=2000)
+    gammas = (0.5, 1.0, 4.0)
+    # The gammas share level 1 and first differ on level 2's 177 nodes.
+    assert _louvain(g, gammas, 1)[1][3] == 177
+    for gamma, part in zip(gammas, shared_partitions(g, gammas, 1)):
+        np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, 1).cluster_of)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
