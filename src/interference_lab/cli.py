@@ -5,6 +5,10 @@ One subcommand per pipeline stage; every run is deterministic given
 also be supplied through a JSON config file (``--config``); explicit flags
 override file values, and unknown keys in the file are rejected.
 
+``main`` checks the seed and the worker count once for every subcommand, and
+``_inputs`` loads ``--system`` and ``--partition``, which must cover the same
+articles; the ``cmd_*`` functions only read the resolved values.
+
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
@@ -46,7 +50,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for Monte-Carlo permutations and "
-                             "frontier's Louvain jobs")
+                             "frontier's Louvain jobs (default: the CPUs this process "
+                             "may use)")
+    parser.add_argument("--out", type=Path, required=True)
+
+
+def _add_inputs(parser: argparse.ArgumentParser, system_required: bool,
+                strategy_default: str | None = None) -> None:
+    parser.add_argument("--system", type=Path, required=system_required,
+                        help="demand system JSON (article space and ground-truth partition)")
+    parser.add_argument("--partition", type=Path, default=None,
+                        help="partition CSV over the same articles "
+                             "(default: the system's ground-truth partition)")
+    if strategy_default is not None:
+        parser.add_argument("--strategy", choices=["article", "cluster"],
+                            default=strategy_default)
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
@@ -74,89 +92,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "pricing experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a demand system JSON file")
-    _add_common(p)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, "generate a demand system JSON file")
     _add_generator_flags(p)
-    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--force", action="store_true",
                    help="allow overwriting an existing output file")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo bias report for one system")
-    _add_common(p)
+    p = command("simulate", cmd_simulate, "Monte-Carlo bias report for one system")
     _add_mc_flags(p)
-    p.add_argument("--system", type=Path, required=True)
-    p.add_argument("--strategy", choices=["article", "cluster"], default="article")
-    p.add_argument("--partition", type=Path, default=None,
-                   help="partition CSV for cluster randomization "
-                        "(default: the system's ground-truth partition)")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_simulate)
+    _add_inputs(p, system_required=True, strategy_default="article")
 
-    p = sub.add_parser("sweep", help="bias/variance sweep over substitution strengths")
-    _add_common(p)
+    p = command("sweep", cmd_sweep, "bias/variance sweep over substitution strengths")
     _add_generator_flags(p)
     _add_mc_flags(p)
     p.add_argument("--phis", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6",
                    help="comma-separated within-cluster substitution shares")
     p.add_argument("--strategies", type=str, default="article,cluster",
                    help="comma-separated subset of: article,cluster")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("cluster", help="modularity-cluster the co-view graph")
-    _add_common(p)
+    p = command("cluster", cmd_cluster, "modularity-cluster the co-view graph")
     _add_session_flags(p)
-    p.add_argument("--system", type=Path, default=None,
-                   help="demand system JSON (article space / synthesis partition)")
-    p.add_argument("--partition", type=Path, default=None,
-                   help="partition CSV used for session synthesis")
+    _add_inputs(p, system_required=False)
     p.add_argument("--gamma", type=float, default=1.0,
                    help="resolution (default %(default)s)")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("exposure", help="exposure shares of an assignment")
-    _add_common(p)
+    p = command("exposure", cmd_exposure, "exposure shares of an assignment")
     _add_session_flags(p)
-    p.add_argument("--system", type=Path, default=None)
-    p.add_argument("--partition", type=Path, default=None)
-    p.add_argument("--strategy", choices=["article", "cluster"], default="cluster")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_exposure)
+    _add_inputs(p, system_required=False, strategy_default="cluster")
 
-    p = sub.add_parser("frontier", help="bias/variance/exposure frontier over gamma")
-    _add_common(p)
+    p = command("frontier", cmd_frontier, "bias/variance/exposure frontier over gamma")
     _add_session_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--system", type=Path, required=True)
-    p.add_argument("--partition", type=Path, default=None,
-                   help="partition CSV used for session synthesis")
+    _add_inputs(p, system_required=True)
     p.add_argument("--gammas", type=str, default="0.25,0.5,1,2,4,8",
                    help="comma-separated resolution values")
     p.add_argument("--exposure-draws", type=int, default=32)
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_frontier)
 
-    p = sub.add_parser("meta", help="meta-experiment bias arithmetic")
-    _add_common(p)
+    p = command("meta", cmd_meta, "meta-experiment bias arithmetic")
     p.add_argument("--in", dest="infile", type=Path, required=True,
                    help="CSV: label,est_clustered,ci_halfwidth,est_article")
     p.add_argument("--ci-divisor", type=float, default=metaexp.DEFAULT_CI_DIVISOR,
                    help="half-width -> sigma divisor (default %(default)s)")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_meta)
 
-    p = sub.add_parser("coverage", help="naive-interval coverage analysis")
-    _add_common(p)
+    p = command("coverage", cmd_coverage, "naive-interval coverage analysis")
     _add_mc_flags(p)
-    p.add_argument("--system", type=Path, required=True)
-    p.add_argument("--strategy", choices=["article", "cluster"], default="article")
-    p.add_argument("--partition", type=Path, default=None)
+    _add_inputs(p, system_required=True, strategy_default="article")
     p.add_argument("--noise-sigma", type=float, default=0.05,
                    help="lognormal observation-noise sigma (default %(default)s)")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_coverage)
 
     return parser
 
@@ -210,46 +197,45 @@ def _resolve_workers(args) -> int:
         if args.workers < 1:
             raise RuntimeError("--workers must be >= 1")
         return args.workers
+    # The CPUs this process may run on, which taskset or a cgroup can narrow.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _strategy(args, system: demand.DemandSystem | None):
+def _inputs(args) -> tuple[demand.DemandSystem | None, demand.Partition | None]:
+    """``--system``, and ``--partition`` or else the system's ground-truth partition."""
+    system = demand.DemandSystem.load(args.system) if args.system is not None else None
+    if args.partition is None:
+        return system, system.partition if system else None
+    part = reports.read_partition(args.partition)
+    if system is not None and part.n != system.n:
+        raise RuntimeError(f"{args.partition} partitions {part.n} articles but "
+                           f"{args.system} has {system.n}: they must cover the same articles")
+    return system, part
+
+
+def _strategy(args, part: demand.Partition | None):
     if args.strategy == "article":
         return experiment.ArticleLevel()
-    if args.partition is not None:
-        return experiment.ClusterLevel(reports.read_partition(args.partition))
-    if system is None:
+    if part is None:
         raise RuntimeError("cluster strategy needs --partition or --system")
-    return experiment.ClusterLevel(system.partition)
+    return experiment.ClusterLevel(part)
 
 
-def _session_csr(args, seed: int, partition: demand.Partition | None,
-                 n_articles: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, article) of the clickstream CSV, or of the synthesized sessions."""
+def _session_csr(args, part: demand.Partition | None) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, article) of the clickstream CSV, or of sessions synthesized from ``part``."""
     if args.sessions is not None:
-        ids, indptr, article = clickstream._read_csr(args.sessions, n_articles)
+        ids, indptr, article = clickstream._read_csr(args.sessions, part.n if part else None)
         if not ids:
             raise RuntimeError(f"{args.sessions}: no sessions")
         return indptr, article
     if args.n_sessions is None:
         raise RuntimeError("provide --sessions or --n-sessions for synthesis")
-    if partition is None:
+    if part is None:
         raise RuntimeError("session synthesis needs --partition or --system")
-    return clickstream._generate(partition, args.n_sessions, args.views_min, args.views_max,
-                                 args.purity, seed)
-
-
-def _synthesis_partition(args) -> tuple[demand.Partition | None, int | None,
-                                        demand.DemandSystem | None]:
-    system = demand.DemandSystem.load(args.system) if args.system else None
-    if args.partition is not None:
-        part = reports.read_partition(args.partition)
-    elif system is not None:
-        part = system.partition
-    else:
-        part = None
-    n = part.n if part is not None else (system.n if system else None)
-    return part, n, system
+    return clickstream._generate(part, args.n_sessions, args.views_min, args.views_max,
+                                 args.purity, args.seed)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -263,27 +249,24 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def cmd_gen(args) -> None:
-    seed = _resolve_seed(args)
     if args.out.exists() and not args.force:
         raise RuntimeError(f"refusing to overwrite {args.out} (use --force)")
-    system = demand.generate_demand_system(_generator_config(args), seed)
+    system = demand.generate_demand_system(_generator_config(args), args.seed)
     system.save(args.out)
 
 
 def cmd_simulate(args) -> None:
-    seed = _resolve_seed(args)
-    system = demand.DemandSystem.load(args.system)
-    strategy = _strategy(args, system)
+    system, part = _inputs(args)
+    strategy = _strategy(args, part)
     report = experiment.monte_carlo_bias(
         system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
-        p=args.p, master_seed=seed, workers=_resolve_workers(args))
+        p=args.p, master_seed=args.seed, workers=args.workers)
     phi = system.config.within_share if system.config else None
     reports.write_bias_report(args.out, report, experiment.strategy_label(strategy),
                               phi=phi)
 
 
 def cmd_sweep(args) -> None:
-    seed = _resolve_seed(args)
     phis = _parse_floats(args.phis, "phi")
     strategies = [s.strip() for s in args.strategies.split(",")]
     for s in strategies:
@@ -291,43 +274,34 @@ def cmd_sweep(args) -> None:
             raise RuntimeError(f"unknown strategy '{s}'")
     rows = experiment.sweep_substitution(
         _generator_config(args), phis, strategies, demand.PricePolicy(args.multiplier),
-        demand.Metric(args.metric), p=args.p, seed=seed, workers=_resolve_workers(args))
+        demand.Metric(args.metric), p=args.p, seed=args.seed, workers=args.workers)
     reports.write_sweep(args.out, rows)
 
 
 def cmd_cluster(args) -> None:
-    seed = _resolve_seed(args)
-    part, n, _system = _synthesis_partition(args)
-    graph = clickstream._graph(*_session_csr(args, seed, part, n), n)
-    result = clustering.louvain(graph, gamma=args.gamma, seed=seed)
+    _, part = _inputs(args)
+    graph = clickstream._graph(*_session_csr(args, part), part.n if part else None)
+    result = clustering.louvain(graph, gamma=args.gamma, seed=args.seed)
     reports.write_partition(args.out, result)
 
 
 def cmd_exposure(args) -> None:
-    seed = _resolve_seed(args)
-    part, n, system = _synthesis_partition(args)
-    indptr, article = _session_csr(args, seed, part, n)
-    if n is None:
-        n = int(article.max()) + 1
-    if args.strategy == "article":
-        strategy = experiment.ArticleLevel()
-    elif part is not None:
-        strategy = experiment.ClusterLevel(part)
-    else:
-        raise RuntimeError("cluster strategy needs --partition or --system")
-    assignment = experiment.assign(strategy, n, np.random.default_rng([seed, 1]))
+    _, part = _inputs(args)
+    strategy = _strategy(args, part)
+    indptr, article = _session_csr(args, part)
+    n = part.n if part else int(article.max()) + 1
+    assignment = experiment.assign(strategy, n, np.random.default_rng([args.seed, 1]))
     reports.write_exposure(args.out,
                            clickstream._exposure(indptr, article, assignment.treated))
 
 
 def cmd_frontier(args) -> None:
-    seed = _resolve_seed(args)
-    part, _, system = _synthesis_partition(args)
-    indptr, article = _session_csr(args, seed, part, system.n)
+    system, part = _inputs(args)
+    indptr, article = _session_csr(args, part)
     gammas = _parse_floats(args.gammas, "gamma")
     points = clustering._frontier(
         system, indptr, article, gammas, demand.PricePolicy(args.multiplier),
-        demand.Metric(args.metric), p=args.p, seed=seed, workers=_resolve_workers(args),
+        demand.Metric(args.metric), p=args.p, seed=args.seed, workers=args.workers,
         exposure_draws=args.exposure_draws)
     reports.write_frontier(args.out, points)
 
@@ -339,12 +313,11 @@ def cmd_meta(args) -> None:
 
 
 def cmd_coverage(args) -> None:
-    seed = _resolve_seed(args)
-    system = demand.DemandSystem.load(args.system)
-    strategy = _strategy(args, system)
+    system, part = _inputs(args)
+    strategy = _strategy(args, part)
     report = experiment.coverage_analysis(
         system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
-        p=args.p, seed=seed, noise_sigma=args.noise_sigma, workers=_resolve_workers(args))
+        p=args.p, seed=args.seed, noise_sigma=args.noise_sigma, workers=args.workers)
     reports.write_coverage(args.out, report)
 
 
@@ -355,6 +328,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             _apply_config_file(parser, args)
             args = parser.parse_args(argv)
+        args.seed, args.workers = _resolve_seed(args), _resolve_workers(args)
         args.func(args)
     except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

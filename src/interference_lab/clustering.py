@@ -264,8 +264,8 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
 
 
 def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gammas,
-              policy: PricePolicy, metric: Metric, p: int, seed: int, workers: int = 1,
-              exposure_draws: int = 32) -> list[FrontierPoint]:
+              policy: PricePolicy, metric: Metric, p: int, seed: int, workers: int,
+              exposure_draws: int) -> list[FrontierPoint]:
     """``frontier`` on the CSR sessions (``indptr``, ``article``)."""
     if exposure_draws < 1:
         raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
 import math
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,11 @@ def run(argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def subcommands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 @pytest.fixture()
@@ -658,3 +665,137 @@ class TestSeedResolution:
                     "--p", "10", "--out", tmp_path / "o.csv"])
         assert code == 1
         assert "--workers" in capsys.readouterr().err
+
+
+class TestArticleSpace:
+    """``--partition`` and ``--system`` must cover the same articles."""
+
+    @pytest.mark.parametrize("n", [40, 120], ids=["smaller", "larger"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--strategy", "cluster", "--p", "4"],
+        ["coverage", "--strategy", "cluster", "--p", "4"],
+        ["cluster", "--n-sessions", "200"],
+        ["exposure", "--n-sessions", "200"],
+        ["frontier", "--n-sessions", "200", "--gammas", "1", "--p", "4",
+         "--exposure-draws", "2"],
+    ], ids=lambda c: c[0])
+    def test_count_mismatch_is_one_error_line_naming_both_files(
+            self, system_path, tmp_path, capsys, command, n):
+        part = tmp_path / f"part{n}.csv"
+        part.write_text("article_id,cluster_id\n"
+                        + "".join(f"{i},{i // 4}\n" for i in range(n)))
+        out = tmp_path / "o.csv"
+        assert run([*command, "--system", system_path, "--partition", part,
+                    "--workers", "1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(part) in err and str(system_path) in err
+        assert f"{n} articles" in err and "80" in err
+        assert not out.exists()
+
+    def test_exposure_needs_a_partition_before_reading_sessions(self, tmp_path, capsys):
+        clicks = tmp_path / "clicks.csv"
+        clicks.write_text("session_id,article_id\na,1\nb\n")
+        assert run(["exposure", "--strategy", "cluster", "--sessions", clicks,
+                    "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cluster strategy needs --partition or --system\n")
+
+
+class TestWorkerResolution:
+    # The fewest arguments each subcommand parses with; none of the files is read.
+    MINIMAL = {
+        "gen": [], "simulate": ["--system", "s.json"], "sweep": [], "cluster": [],
+        "exposure": [], "frontier": ["--system", "s.json"], "meta": ["--in", "m.csv"],
+        "coverage": ["--system", "s.json"],
+    }
+
+    def test_minimal_arguments_cover_every_subcommand(self):
+        assert set(self.MINIMAL) == set(subcommands(cli.build_parser()))
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL))
+    def test_zero_workers_is_rejected_by_every_subcommand(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        assert run([command, *self.MINIMAL[command], "--workers", "0", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--workers" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._resolve_workers(argparse.Namespace(workers=None)) == 1
+        assert cli._resolve_workers(argparse.Namespace(workers=3)) == 3
+
+    @pytest.mark.parametrize("cpus,expected", [(4, 4), (None, 1)])
+    def test_default_falls_back_to_cpu_count(self, monkeypatch, cpus, expected):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._resolve_workers(argparse.Namespace(workers=None)) == expected
+
+
+class TestOptionTable:
+    # Each subcommand's options as (option strings, default, required, choices).
+    MC = {(("--metric",), "revenue", False, ("units", "revenue")),
+          (("--multiplier",), 0.95, False, None), (("--p",), 1000, False, None)}
+    SESSIONS = {(("--sessions",), None, False, None), (("--n-sessions",), None, False, None),
+                (("--views-min",), 2, False, None), (("--views-max",), 5, False, None),
+                (("--purity",), 0.9, False, None)}
+    GENERATOR = {(("--n",), 10000, False, None), (("--cluster-size-min",), 2, False, None),
+                 (("--cluster-size-max",), 20, False, None),
+                 (("--own-mean",), -2.5, False, None), (("--own-spread",), 0.5, False, None),
+                 (("--phi",), 0.3, False, None), (("--phi-bg",), 0.05, False, None),
+                 (("--price-min",), 10.0, False, None), (("--price-max",), 100.0, False, None),
+                 (("--quantity-min",), 10.0, False, None),
+                 (("--quantity-max",), 100.0, False, None)}
+    STRATEGY = ("article", "cluster")
+    TABLE = {
+        "gen": GENERATOR | {(("--force",), False, False, None)},
+        "simulate": MC | {(("--system",), None, True, None),
+                          (("--partition",), None, False, None),
+                          (("--strategy",), "article", False, STRATEGY)},
+        "sweep": GENERATOR | MC | {(("--phis",), "0.1,0.2,0.3,0.4,0.5,0.6", False, None),
+                                   (("--strategies",), "article,cluster", False, None)},
+        "cluster": SESSIONS | {(("--system",), None, False, None),
+                               (("--partition",), None, False, None),
+                               (("--gamma",), 1.0, False, None)},
+        "exposure": SESSIONS | {(("--system",), None, False, None),
+                                (("--partition",), None, False, None),
+                                (("--strategy",), "cluster", False, STRATEGY)},
+        "frontier": SESSIONS | MC | {(("--system",), None, True, None),
+                                     (("--partition",), None, False, None),
+                                     (("--gammas",), "0.25,0.5,1,2,4,8", False, None),
+                                     (("--exposure-draws",), 32, False, None)},
+        "meta": {(("--in",), None, True, None), (("--ci-divisor",), 1.96, False, None)},
+        "coverage": MC | {(("--system",), None, True, None),
+                          (("--partition",), None, False, None),
+                          (("--strategy",), "article", False, STRATEGY),
+                          (("--noise-sigma",), 0.05, False, None)},
+    }
+    # Every subcommand takes these; the benchmark appends --out, --seed and --workers.
+    COMMON = {(("--config",), None, False, None), (("--seed",), None, False, None),
+              (("--workers",), None, False, None), (("--out",), None, True, None)}
+
+    def test_every_subcommand_takes_the_common_options(self):
+        for name, command in subcommands(cli.build_parser()).items():
+            flags = {s for a in command._actions for s in a.option_strings}
+            assert {"--out", "--seed", "--workers", "--config"} <= flags, name
+
+    def test_options_defaults_and_choices_are_unchanged(self):
+        table = {name: {(tuple(a.option_strings), a.default, a.required,
+                         tuple(a.choices) if a.choices is not None else None)
+                        for a in command._actions if a.dest != "help"}
+                 for name, command in subcommands(cli.build_parser()).items()}
+        assert table == {name: options | self.COMMON for name, options in self.TABLE.items()}
+
+
+def test_readme_quick_start_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (CLI)", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [shlex.split(line) for line in block.splitlines()
+             if line.startswith("interference-lab ")]
+    assert len(lines) == 8
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
