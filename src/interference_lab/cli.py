@@ -3,7 +3,8 @@
 One subcommand per pipeline stage; every run is deterministic given
 (config, seed) and the worker count never changes output bytes. Options can
 also be supplied through a JSON config file (``--config``); explicit flags
-override file values, and unknown keys in the file are rejected.
+override file values. Unknown keys are rejected, and so are the keys of
+flags that must be given on the command line.
 
 ``main`` checks the seed and the worker count once for every subcommand, and
 ``_inputs`` loads ``--system`` and ``--partition``, which must cover the same
@@ -163,6 +164,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
         if key not in actions:
             raise RuntimeError(f"config file {args.config}: unknown key '{key}'")
         action = actions[key]
+        # A required flag is always on the command line, which would override the file.
+        if action.required:
+            raise RuntimeError(f"config file {args.config}: '{key}' must be given on the "
+                               f"command line as {action.option_strings[0]}")
         if isinstance(action, argparse._StoreTrueAction):
             if not isinstance(value, bool):
                 command.error(f"config file {args.config}: '{key}' must be true or false, "
@@ -269,9 +274,6 @@ def cmd_simulate(args) -> None:
 def cmd_sweep(args) -> None:
     phis = _parse_floats(args.phis, "phi")
     strategies = [s.strip() for s in args.strategies.split(",")]
-    for s in strategies:
-        if s not in ("article", "cluster"):
-            raise RuntimeError(f"unknown strategy '{s}'")
     rows = experiment.sweep_substitution(
         _generator_config(args), phis, strategies, demand.PricePolicy(args.multiplier),
         demand.Metric(args.metric), p=args.p, seed=args.seed, workers=args.workers)

@@ -125,16 +125,17 @@ def _generate(partition: Partition, n_sessions: int, views_min: int, views_max: 
     anywhere = rng.integers(0, n, total)
     views = np.where(stay, members[in_cluster], anywhere)
 
-    key = _unique(np.repeat(np.arange(n_sessions), counts) * n + views)
-    return np.searchsorted(key, np.arange(n_sessions + 1) * n), key % n
+    return _group(np.repeat(np.arange(n_sessions), counts), views, n_sessions, n)
 
 
-def _unique(key: np.ndarray) -> np.ndarray:
-    """``np.unique(key)`` by a sort; numpy 2.4's bare np.unique hashes, 30 times slower."""
-    key = np.sort(key)
+def _group(session, article, n_sessions: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, article) of the distinct (session, article) pairs, articles ascending."""
+    # One sort dedups and groups the keys; numpy 2.4's bare np.unique hashes, 30 times slower.
+    key = np.sort(session * n + article)
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    return key[first]
+    key = key[first]
+    return np.searchsorted(key, np.arange(n_sessions + 1) * n), key % n
 
 
 def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
@@ -172,12 +173,10 @@ def _read_csr(path, n_articles: int | None = None
             raise ValueError(f"{path}: unknown article id {a} at line {line}")
         code.append(codes.setdefault(sid, len(codes)))
         article.append(a)
-    # One sort dedups the rows and groups them by session; ranking the ids
-    # first keeps the (session, rank) key far below 2**63.
+    # Ranking the ids first keeps the (session, rank) key far below 2**63.
     ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
-    key = _unique(np.frombuffer(code, dtype=np.int64) * ids.size + rank)
-    indptr = np.searchsorted(key, np.arange(len(codes) + 1) * ids.size)
-    return (None if empty else list(codes)), indptr, ids[key % ids.size]
+    indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
+    return (None if empty else list(codes)), indptr, ids[rank]
 
 
 def read_sessions(path, n_articles: int | None = None) -> list[Session]:
@@ -232,14 +231,10 @@ def _csr(sessions: list[Session], n: int | None = None) -> tuple[np.ndarray, np.
 
 
 def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> SessionGraph:
-    """Co-view graph of the CSR sessions (``indptr``, ``article``)."""
-    if indptr.size < 2:
-        raise ValueError("sessions must be non-empty")
+    """Co-view graph of the CSR sessions (``indptr``, ``article``); callers check their ids."""
     max_seen = int(article.max())
     if n is None:
         n = max_seen + 1
-    elif max_seen >= n:
-        raise ValueError("session views exceed the declared article count")
     # Pair keys min * n + max stay below n**2, which must fit in int64.
     if n > math.isqrt(2**63 - 1):
         raise ValueError(f"article id {max_seen} is too large for the co-view graph: "
@@ -258,7 +253,7 @@ def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> Ses
 
 def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
     """Co-view graph: each session adds weight 1 to every pair it viewed."""
-    return _graph(*_csr(sessions), n)
+    return _graph(*_csr(sessions, n), n)
 
 
 def _exposure(indptr: np.ndarray, article: np.ndarray, treated: np.ndarray) -> ExposureReport:

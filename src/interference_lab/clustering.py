@@ -40,7 +40,6 @@ from .clickstream import (  # noqa: F401
 )
 from .demand import DemandSystem, Metric, Partition, PricePolicy
 from .experiment import (
-    BiasReport,
     ClusterLevel,
     _parallel_map,
     _pool,
@@ -283,31 +282,22 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
         for (idx, gamma), part in zip(order, parts):
             q = modularity(graph, part, gamma)
             k = part.n_clusters
-            if k < 2:
-                points.append(FrontierPoint(
-                    resolution=float(gamma), n_clusters=k,
-                    avg_cluster_size=system.n / k, modularity=q,
-                    share_both=float("nan"), share_both_sd=float("nan"),
-                    mean_bias=float("nan"), relative_sd=float("nan"), defined=False))
-                continue
-            strategy = ClusterLevel(part)
-            shares = []
-            for d in range(exposure_draws):
-                rng = np.random.default_rng([seed, idx, 1, d])
-                treated = assign(strategy, system.n, rng).treated
-                shares.append(_exposure(indptr, article, treated).share_both)
-            shares = np.asarray(shares)
-            report: BiasReport = monte_carlo_bias(system, strategy, policy, metric, p,
-                                                  master_seed=[seed, idx, 2],
-                                                  workers=workers)
+            share_both = share_both_sd = mean_bias = relative_sd = float("nan")
+            if k >= 2:
+                strategy = ClusterLevel(part)
+                shares = []
+                for d in range(exposure_draws):
+                    rng = np.random.default_rng([seed, idx, 1, d])
+                    treated = assign(strategy, system.n, rng).treated
+                    shares.append(_exposure(indptr, article, treated).share_both)
+                shares = np.asarray(shares)
+                report = monte_carlo_bias(system, strategy, policy, metric, p,
+                                          master_seed=[seed, idx, 2], workers=workers)
+                share_both = float(shares.mean())
+                share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
+                mean_bias, relative_sd = report.mean_bias, report.relative_sd
             points.append(FrontierPoint(
-                resolution=float(gamma),
-                n_clusters=k,
-                avg_cluster_size=system.n / k,
-                modularity=q,
-                share_both=float(shares.mean()),
-                share_both_sd=float(shares.std(ddof=1)) if shares.size > 1 else 0.0,
-                mean_bias=report.mean_bias,
-                relative_sd=report.relative_sd,
-            ))
+                resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
+                modularity=q, share_both=share_both, share_both_sd=share_both_sd,
+                mean_bias=mean_bias, relative_sd=relative_sd, defined=k >= 2))
     return points

@@ -417,8 +417,9 @@ def _check_multipliers(system: DemandSystem, multipliers) -> np.ndarray:
     mu = np.asarray(multipliers, dtype=float)
     if mu.shape != (system.n,):
         raise ValueError(f"multipliers must have shape ({system.n},)")
-    if not (mu > 0).all():
-        raise ValueError("all price multipliers must be > 0")
+    ok = (mu > 0) & (mu < math.inf)
+    if not ok.all():
+        raise ValueError(f"all price multipliers must be finite and > 0, not {mu[ok.argmin()]}")
     return mu
 
 
@@ -460,7 +461,7 @@ def base_metric_values(system: DemandSystem, metric: Metric) -> np.ndarray:
 
 def outcome(system: DemandSystem, multipliers, metric: Metric, subset=None) -> float:
     """Aggregate Units or Revenue over a subset of articles (default: all)."""
-    mu = _check_multipliers(system, multipliers)
+    q = demand_at(system, multipliers)
     if subset is None:
         idx = np.arange(system.n)
     else:
@@ -469,8 +470,7 @@ def outcome(system: DemandSystem, multipliers, metric: Metric, subset=None) -> f
             raise ValueError("subset must be non-empty")
         if idx.min() < 0 or idx.max() >= system.n:
             raise ValueError("subset indices out of range")
-    q = demand_at(system, mu)
-    return float(metric_values(system, mu, q, metric)[idx].sum())
+    return float(metric_values(system, multipliers, q, metric)[idx].sum())
 
 
 def global_treatment_effect(system: DemandSystem, policy: PricePolicy,

@@ -134,24 +134,20 @@ def assign(strategy: RandomizationStrategy, n: int, rng: np.random.Generator) ->
     """Draw a balanced random assignment for n articles."""
     if n < 2:
         raise ValueError("need at least 2 articles to randomize")
-    treated = np.zeros(n, dtype=bool)
     if isinstance(strategy, ArticleLevel):
-        perm = rng.permutation(n)
-        treated[perm[: n // 2]] = True
+        k, unit_of = n, None
     elif isinstance(strategy, ClusterLevel):
         part = strategy.partition
         if part.n != n:
             raise ValueError("cluster partition does not cover the article space")
-        k = part.n_clusters
+        k, unit_of = part.n_clusters, part.cluster_of
         if k < 2:
             raise ValueError("cluster-level randomization needs >= 2 clusters")
-        perm = rng.permutation(k)
-        treated_clusters = np.zeros(k, dtype=bool)
-        treated_clusters[perm[: k // 2]] = True
-        treated = treated_clusters[part.cluster_of]
     else:
         raise TypeError(f"unknown randomization strategy: {strategy!r}")
-    return Assignment(treated)
+    treated = np.zeros(k, dtype=bool)
+    treated[rng.permutation(k)[: k // 2]] = True
+    return Assignment(treated if unit_of is None else treated[unit_of])
 
 
 def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePolicy,
@@ -250,12 +246,7 @@ def _parallel_map(fn, jobs):
     pool = _active_pool.get()
     if pool is None:
         return [fn(*job) for job in jobs]
-    return pool.map(_star, [(fn, job) for job in jobs])
-
-
-def _star(packed):
-    fn, job = packed
-    return fn(*job)
+    return pool.map(fn, *zip(*jobs))
 
 
 def _map_draws(system, strategy, metric, master, experiments, p: int,
@@ -337,26 +328,25 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
                        workers: int = 1) -> list[SweepRow]:
     """One BiasReport per (phi, strategy); a fresh system per phi.
 
-    ``strategies`` entries are either strategy instances or the labels
-    "article"/"cluster"; "cluster" uses the fresh system's ground-truth
-    partition. Rows come out in (phi, strategy) order, and all of them share
-    one pool of ``workers`` processes.
+    ``strategies`` holds the labels "article" and "cluster"; "cluster" uses
+    the fresh system's ground-truth partition. An unknown label is rejected
+    before any work. Rows come out in (phi, strategy) order, and all of them
+    share one pool of ``workers`` processes.
     """
+    for label in strategies:
+        if label not in ("article", "cluster"):
+            raise ValueError(f"unknown strategy '{label}'")
     rows = []
     with _pool(workers):
         for i, phi in enumerate(phis):
             if not 0 <= phi < 1:
                 raise ValueError("phi values must lie in [0, 1)")
             system = generate_demand_system(replace(config, within_share=float(phi)), seed)
-            for j, strat in enumerate(strategies):
-                if strat == "article":
-                    strat = ArticleLevel()
-                elif strat == "cluster":
-                    strat = ClusterLevel(system.partition)
+            for j, label in enumerate(strategies):
+                strat = ArticleLevel() if label == "article" else ClusterLevel(system.partition)
                 report = monte_carlo_bias(system, strat, policy, metric, p,
                                           master_seed=[seed, i, j], workers=workers)
-                rows.append(SweepRow(phi=float(phi), strategy=strategy_label(strat),
-                                     report=report))
+                rows.append(SweepRow(phi=float(phi), strategy=label, report=report))
     return rows
 
 

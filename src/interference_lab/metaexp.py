@@ -61,7 +61,7 @@ def compare(inp: MetaExperimentInput,
 
 
 def read_inputs(path) -> list[MetaExperimentInput]:
-    """Read `label,est_clustered,ci_halfwidth,est_article` rows."""
+    """Read `label,est_clustered,ci_halfwidth,est_article` rows; there must be at least one."""
     rows = []
     for line, (label, *values) in csv_records(
             path, ["label", "est_clustered", "ci_halfwidth", "est_article"]):
@@ -69,4 +69,6 @@ def read_inputs(path) -> list[MetaExperimentInput]:
             rows.append(MetaExperimentInput(label, *map(float, values)))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     return rows

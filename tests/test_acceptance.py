@@ -17,6 +17,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,7 +499,7 @@ def test_criterion_10_cli_determinism(announce, tmp_path):
                 argv += ["--seed", "5", "--workers", str(workers)]
                 assert cli.main(argv) == 0, name
                 out = argv[argv.index("--out") + 1]
-                produced[name] = open(out, "rb").read()
+                produced[name] = Path(out).read_bytes()
             return produced
 
         serial, parallel = outputs(1), outputs(8)

@@ -463,6 +463,16 @@ class TestMeta:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [[], ["--ci-divisor", "nan"]])
+    def test_header_only_table_is_one_error_line(self, tmp_path, capsys, flags):
+        infile = tmp_path / "meta_in.csv"
+        infile.write_text("label,est_clustered,ci_halfwidth,est_article\n")
+        out = tmp_path / "meta.csv"
+        assert run(["meta", "--in", infile, *flags, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {infile}: no rows\n"
+        assert not out.exists()
+
+
 class TestUnreadableInputFile:
     """An oversized field or a byte that is not UTF-8, in each CSV input of each command."""
 
@@ -620,6 +630,32 @@ class TestConfigFile:
             run(["gen", *GEN_SMALL, "--config", cfg, "--out", tmp_path / "x.json"])
         assert exc.value.code == 2
         assert "'force' must be true or false" in capsys.readouterr().err
+
+    # Each command with the flags it requires, and small sizes for the rest.
+    REQUIRED_FLAGS = {
+        "gen": GEN_SMALL,
+        "simulate": ["--system", "sys.json"],
+        "sweep": [*GEN_SMALL, "--phis", "0", "--p", "4"],
+        "cluster": ["--n-sessions", "10"],
+        "exposure": ["--n-sessions", "10"],
+        "frontier": ["--system", "sys.json"],
+        "meta": ["--in", "meta_in.csv"],
+        "coverage": ["--system", "sys.json"],
+    }
+
+    @pytest.mark.parametrize("command,key,flag", [
+        *[(command, "out", "--out") for command in REQUIRED_FLAGS],
+        *[(command, "system", "--system") for command in ("simulate", "frontier", "coverage")],
+        ("meta", "infile", "--in")])
+    def test_key_of_a_required_flag_is_rejected(self, tmp_path, capsys, command, key, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "elsewhere"}))
+        out = tmp_path / "o.csv"
+        assert run([command, *self.REQUIRED_FLAGS[command], "--config", cfg,
+                    "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (f"error: config file {cfg}: '{key}' must be given "
+                                           f"on the command line as {flag}\n")
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -159,6 +159,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(sessions, n=1)
 
+    def test_out_of_range_id_names_its_session(self):
+        sessions = [Session("a", frozenset({0, 1})), Session("b", frozenset({2, 5}))]
+        with pytest.raises(ValueError, match="^session b: article 5 is not among the 4 "
+                                             "articles$"):
+            build_graph(sessions, n=4)
+
     def test_empty_sessions_rejected(self):
         with pytest.raises(ValueError):
             build_graph([])

@@ -143,6 +143,16 @@ class TestDemandAt:
         with pytest.raises(ValueError):
             demand_at(system, np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_multipliers(self, bad):
+        system = generate_demand_system(GeneratorConfig(n=10), seed=0)
+        mu = np.ones(10)
+        mu[3] = bad
+        with pytest.raises(ValueError, match=f"must be finite and > 0, not {bad}$"):
+            demand_at(system, mu)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            outcome(system, np.full(10, bad), Metric.UNITS)
+
     def test_dense_oracle_size_cap(self):
         system = generate_demand_system(GeneratorConfig(n=2001), seed=0)
         with pytest.raises(ValueError):

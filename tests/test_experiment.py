@@ -61,6 +61,14 @@ class TestAssign:
         with pytest.raises(ValueError):
             assign(ClusterLevel(part), 6, np.random.default_rng(0))
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32))
+    def test_article_split_is_the_split_over_singleton_clusters(self, n, seed):
+        article = assign(ArticleLevel(), n, np.random.default_rng(seed))
+        singletons = ClusterLevel(Partition(np.arange(n)))
+        cluster = assign(singletons, n, np.random.default_rng(seed))
+        np.testing.assert_array_equal(article.treated, cluster.treated)
+
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
             Assignment(np.zeros((2, 2), dtype=bool))
@@ -208,6 +216,13 @@ class TestSweep:
             assert abs(row.report.mean_bias) < 3 * mc_standard_error(row.report)
         article_04 = rows[2].report
         assert article_04.mean_bias > 3 * mc_standard_error(article_04)
+
+    def test_rejects_an_unknown_label_before_any_work(self, monkeypatch):
+        monkeypatch.setattr("interference_lab.experiment._parallel_map",
+                            lambda *a: pytest.fail("pool job started"))
+        with pytest.raises(ValueError, match="^unknown strategy 'banana'$"):
+            sweep_substitution(GeneratorConfig(n=50), [0.1, 0.2], ["article", "banana"],
+                               PricePolicy(0.95), Metric.REVENUE, p=10, seed=0)
 
     def test_rejects_phi_out_of_range(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,12 @@ class TestReadInputs:
         assert rows == [MetaExperimentInput("a", 0.41, 0.05, 0.61),
                         MetaExperimentInput("b", 0.35, 0.08, 0.62)]
 
+    def test_rejects_a_header_only_table(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("label,est_clustered,ci_halfwidth,est_article\n\n")
+        with pytest.raises(ValueError, match=r"meta\.csv: no rows$"):
+            read_inputs(path)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "meta.csv"
         path.write_text("a,b,c,d\nx,1,1,1\n")
