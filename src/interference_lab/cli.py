@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -152,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Make the config file's values the subcommand's defaults; parsing again lets flags win."""
     try:
-        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RuntimeError(f"cannot read config file {args.config}: {exc}") from exc
+        values = demand.read_json(args.config)
+    except (OSError, ValueError) as exc:
+        raise RuntimeError(f"cannot read config file: {exc}") from exc
     if not isinstance(values, dict):
         raise RuntimeError(f"config file {args.config} must hold a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -172,17 +171,16 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             if not isinstance(value, bool):
                 command.error(f"config file {args.config}: '{key}' must be true or false, "
                               f"not {value!r}")
-            command.set_defaults(**{key: value})
-            continue
-        # Checked as the same text on the command line would be; usage errors exit 2.
-        text = str(value)
-        try:
-            value = action.type(text) if action.type else text
-        except (TypeError, ValueError):
-            command.error(f"config file {args.config}: invalid value for '{key}': {value!r}")
-        if action.choices is not None and value not in action.choices:
-            command.error(f"config file {args.config}: '{key}' must be one of "
-                          f"{', '.join(map(str, action.choices))}, not {value!r}")
+        else:
+            # Checked as the same text on the command line would be; usage errors exit 2.
+            text = str(value)
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError):
+                command.error(f"config file {args.config}: invalid value for '{key}': {value!r}")
+            if action.choices is not None and value not in action.choices:
+                command.error(f"config file {args.config}: '{key}' must be one of "
+                              f"{', '.join(map(str, action.choices))}, not {value!r}")
         command.set_defaults(**{key: value})
 
 
@@ -228,19 +226,19 @@ def _strategy(args, part: demand.Partition | None):
     return experiment.ClusterLevel(part)
 
 
-def _session_csr(args, part: demand.Partition | None) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, article) of the clickstream CSV, or of sessions synthesized from ``part``."""
+def _session_csr(args, part: demand.Partition | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """(indptr, article, n) of the clickstream CSV, or of sessions synthesized from ``part``."""
     if args.sessions is not None:
         ids, indptr, article = clickstream._read_csr(args.sessions, part.n if part else None)
         if not ids:
             raise RuntimeError(f"{args.sessions}: no sessions")
-        return indptr, article
+        return indptr, article, part.n if part else int(article.max()) + 1
     if args.n_sessions is None:
         raise RuntimeError("provide --sessions or --n-sessions for synthesis")
     if part is None:
         raise RuntimeError("session synthesis needs --partition or --system")
-    return clickstream._generate(part, args.n_sessions, args.views_min, args.views_max,
-                                 args.purity, args.seed)
+    return *clickstream._generate(part, args.n_sessions, args.views_min, args.views_max,
+                                  args.purity, args.seed), part.n
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -282,7 +280,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_cluster(args) -> None:
     _, part = _inputs(args)
-    graph = clickstream._graph(*_session_csr(args, part), part.n if part else None)
+    graph = clickstream._graph(*_session_csr(args, part))
     result = clustering.louvain(graph, gamma=args.gamma, seed=args.seed)
     reports.write_partition(args.out, result)
 
@@ -290,8 +288,7 @@ def cmd_cluster(args) -> None:
 def cmd_exposure(args) -> None:
     _, part = _inputs(args)
     strategy = _strategy(args, part)
-    indptr, article = _session_csr(args, part)
-    n = part.n if part else int(article.max()) + 1
+    indptr, article, n = _session_csr(args, part)
     assignment = experiment.assign(strategy, n, np.random.default_rng([args.seed, 1]))
     reports.write_exposure(args.out,
                            clickstream._exposure(indptr, article, assignment.treated))
@@ -299,7 +296,7 @@ def cmd_exposure(args) -> None:
 
 def cmd_frontier(args) -> None:
     system, part = _inputs(args)
-    indptr, article = _session_csr(args, part)
+    indptr, article, _ = _session_csr(args, part)
     gammas = _parse_floats(args.gammas, "gamma")
     points = clustering._frontier(
         system, indptr, article, gammas, demand.PricePolicy(args.multiplier),

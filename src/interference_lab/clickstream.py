@@ -14,11 +14,11 @@ into the CSR view and never materializes ``Session`` objects.
 ``generate_sessions``, ``read_sessions``, ``build_graph`` and
 ``exposure_share`` are adapters over the array cores for library callers;
 ``_csr`` is the one converter from a ``Session`` list to the CSR view.
+``write_sessions`` writes ``CLICKSTREAM_HEADER`` files through ``demand.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import logging
@@ -29,10 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .demand import Partition, atomic_write, csv_records
+from .demand import Partition, csv_records, write_csv
 from .experiment import Assignment
 
 logger = logging.getLogger(__name__)
+
+CLICKSTREAM_HEADER = ["session_id", "article_id"]
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def _read_csr(path, n_articles: int | None = None
     # Ids must fit in int64 even when no article count is declared.
     limit = 2**63 if n_articles is None else n_articles
     empty = path.stat().st_size == 0
-    for line, (sid, raw) in () if empty else csv_records(path, ["session_id", "article_id"]):
+    for line, (sid, raw) in () if empty else csv_records(path, CLICKSTREAM_HEADER):
         try:
             a = int(raw)
         except ValueError:
@@ -202,12 +204,8 @@ def _sessions(ids: list[str], indptr: np.ndarray, article: np.ndarray) -> list[S
 
 def write_sessions(sessions: list[Session], path) -> None:
     """Write sessions in the clickstream CSV format (sorted article ids per session)."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["session_id", "article_id"])
-        for s in sessions:
-            for a in sorted(s.viewed):
-                writer.writerow([s.session_id, a])
+    write_csv(path, CLICKSTREAM_HEADER,
+              ((s.session_id, a) for s in sessions for a in sorted(s.viewed)))
 
 
 def _csr(sessions: list[Session], n: int | None = None) -> tuple[np.ndarray, np.ndarray]:

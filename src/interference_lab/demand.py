@@ -11,13 +11,15 @@ therefore computable exactly.
 The structured representation (own vector, per-cluster beta, scalar
 background) evaluates in O(n); ``dense_oracle`` materializes E and serves as
 a brute-force cross-check. Every other module imports this one, so it also
-holds their file helpers: ``atomic_write`` for every output and
-``csv_records``, the one reader of CSV inputs.
+holds their file helpers: ``read_json`` and ``csv_records`` read every JSON
+and CSV input, ``write_csv`` writes every CSV output (floats at 17
+significant digits), and ``atomic_write`` replaces each output whole.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 DENSE_ORACLE_MAX_N = 2000
+_PLAIN = frozenset({str, int})  # values the csv module spells as ``fmt`` does
 
 
 @contextmanager
@@ -73,6 +76,35 @@ def csv_records(path, header: list[str]):
                 yield line, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def read_json(path):
+    """The value in UTF-8 JSON file ``path``; a parse failure is one ``ValueError`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header``, then each row of the iterable ``rows`` through ``fmt``, to ``path``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    # Rows of plain values skip fmt, so a large clickstream file costs what the csv module does.
+    writer.writerows(row if _PLAIN.issuperset(map(type, row)) else map(fmt, row) for row in rows)
+    text = buffer.getvalue()
+    # The writer quotes a value holding "\n" but not "\r", which readers take for a line end.
+    if "\r" in text:
+        raise ValueError(f"{path}: cannot write a value holding a carriage return")
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 class Metric(Enum):
@@ -285,11 +317,7 @@ class DemandSystem:
 
     @classmethod
     def load(cls, path) -> "DemandSystem":
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path))
 
 
 def _json_array(d: dict, key: str, dtype) -> np.ndarray:

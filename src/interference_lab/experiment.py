@@ -68,12 +68,6 @@ class Assignment:
     def n(self) -> int:
         return int(self.treated.size)
 
-    def treated_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.treated)
-
-    def control_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.treated)
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -159,7 +153,7 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     """
     if assignment.n != system.n:
         raise ValueError("assignment length does not match the system")
-    it, ic = assignment.treated_indices(), assignment.control_indices()
+    it, ic = np.flatnonzero(assignment.treated), np.flatnonzero(~assignment.treated)
     if it.size == 0 or ic.size == 0:
         raise ValueError("both treatment groups must be non-empty")
     mu = np.ones(system.n)
@@ -252,6 +246,8 @@ def _parallel_map(fn, jobs):
 def _map_draws(system, strategy, metric, master, experiments, p: int,
                workers: int) -> np.ndarray:
     """Lifts of draws 0..p-1 of each experiment, one row per experiment."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
     chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
     jobs = [(system, strategy, metric, master, experiments, ks) for ks in chunks]
     with _pool(workers):
@@ -304,8 +300,6 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     Permutation k draws its RNG from (master_seed, k), so the result is
     bit-identical for any worker count.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
     gte = global_treatment_effect(system, policy, metric)
     master = _seed_list(master_seed)
     (estimates,) = _map_draws(system, strategy, metric, master, [(policy, None, None)],
@@ -315,8 +309,7 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
 
 def mc_standard_error(report: BiasReport) -> float:
     """Monte-Carlo standard error of mean_bias (same units as mean_bias)."""
-    denom = 1.0 if report.bias_is_absolute else abs(report.gte)
-    return report.sd_estimate / math.sqrt(report.p) / denom
+    return report.relative_sd / math.sqrt(report.p)
 
 
 def strategy_label(strategy: RandomizationStrategy) -> str:
@@ -329,18 +322,19 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
     """One BiasReport per (phi, strategy); a fresh system per phi.
 
     ``strategies`` holds the labels "article" and "cluster"; "cluster" uses
-    the fresh system's ground-truth partition. An unknown label is rejected
-    before any work. Rows come out in (phi, strategy) order, and all of them
-    share one pool of ``workers`` processes.
+    the fresh system's ground-truth partition. An unknown label, or a phi
+    outside [0, 1), is rejected before any work. Rows come out in (phi,
+    strategy) order, and all of them share one pool of ``workers`` processes.
     """
     for label in strategies:
         if label not in ("article", "cluster"):
             raise ValueError(f"unknown strategy '{label}'")
     rows = []
     with _pool(workers):
+        # Every phi is checked before the first system; the pool starts no worker before a job.
+        if not all(0 <= phi < 1 for phi in phis):
+            raise ValueError("phi values must lie in [0, 1)")
         for i, phi in enumerate(phis):
-            if not 0 <= phi < 1:
-                raise ValueError("phi values must lie in [0, 1)")
             system = generate_demand_system(replace(config, within_share=float(phi)), seed)
             for j, label in enumerate(strategies):
                 strat = ArticleLevel() if label == "article" else ClusterLevel(system.partition)
@@ -361,25 +355,16 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
     null-policy estimates; coverage_rate is the share of treated estimates
     whose +/- 1.96 * aa_sd interval contains the true GTE.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
     runs = [(PricePolicy(1.0), 0, noise_sigma), (policy, 2, noise_sigma)]
     aa, treated = _map_draws(system, strategy, metric, [seed], runs, p, workers)
     aa_sd = float(aa.std(ddof=1))
-    if aa_sd == 0.0:
-        return CoverageReport(aa_sd=0.0, coverage_rate=float("nan"),
-                              mean_z=float("nan"), gte=gte, p=p, seed=seed,
-                              noise_sigma=noise_sigma, defined=False)
-    covered = np.abs(treated - gte) <= 1.96 * aa_sd
-    return CoverageReport(
-        aa_sd=aa_sd,
-        coverage_rate=float(covered.mean()),
-        mean_z=float(((treated - gte) / aa_sd).mean()),
-        gte=gte,
-        p=p,
-        seed=seed,
-        noise_sigma=noise_sigma,
-    )
+    defined = aa_sd != 0.0
+    coverage_rate = mean_z = float("nan")
+    if defined:
+        coverage_rate = float((np.abs(treated - gte) <= 1.96 * aa_sd).mean())
+        mean_z = float(((treated - gte) / aa_sd).mean())
+    return CoverageReport(aa_sd=aa_sd, coverage_rate=coverage_rate, mean_z=mean_z, gte=gte,
+                          p=p, seed=seed, noise_sigma=noise_sigma, defined=defined)

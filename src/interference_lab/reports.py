@@ -1,17 +1,15 @@
 """CSV serialization of report objects.
 
-All floating-point values are written with 17 significant digits so that
-outputs round-trip exactly and are byte-stable across runs and worker counts.
+Every report goes through ``demand.write_csv``, which writes floats with 17
+significant digits so that outputs round-trip exactly and are byte-stable
+across runs and worker counts.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
-from .demand import Partition, atomic_write, csv_records
+from .demand import Partition, csv_records, fmt, write_csv  # noqa: F401  (fmt is re-exported)
 from .experiment import BiasReport, CoverageReport, SweepRow
 from .metaexp import MetaComparison, MetaExperimentInput
 
@@ -26,22 +24,6 @@ COVERAGE_HEADER = ["aa_sd", "coverage_rate", "mean_z", "gte", "p", "seed",
 PARTITION_HEADER = ["article_id", "cluster_id"]
 META_HEADER = ["label", "est_clustered", "ci_halfwidth", "est_article",
                "relative_bias", "sigma_distance"]
-
-
-def fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
 
 
 def _bias_row(phi, strategy: str, r: BiasReport) -> list:

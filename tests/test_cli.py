@@ -2,7 +2,10 @@
 
 import argparse
 import concurrent.futures
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -13,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interference_lab import DemandSystem, cli, generate_sessions
 from interference_lab.clickstream import write_sessions
@@ -463,6 +468,16 @@ class TestMeta:
         assert not out.exists()
 
 
+    def test_label_with_a_carriage_return_is_one_error_line(self, tmp_path, capsys):
+        infile = tmp_path / "meta_in.csv"
+        infile.write_bytes(b'label,est_clustered,ci_halfwidth,est_article\n'
+                           b'"q\r3",0.41,0.05,0.61\n')
+        out = tmp_path / "meta.csv"
+        assert run(["meta", "--in", infile, "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {out}: cannot write a value holding a carriage return\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [[], ["--ci-divisor", "nan"]])
     def test_header_only_table_is_one_error_line(self, tmp_path, capsys, flags):
         infile = tmp_path / "meta_in.csv"
@@ -663,6 +678,24 @@ class TestConfigFile:
         assert run(["gen", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        b"{not json", b'{"n": "\xff"}', b"[" * 100_000 + b"]" * 100_000, None],
+        ids=["not-json", "not-utf8", "too-deep", "missing"])
+    def test_unreadable_config_is_one_error_line_naming_it(self, tmp_path, data):
+        # Run as a child process, as the system-file overflow tests are.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "x.json"
+        if data is not None:
+            cfg.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "interference_lab.cli", "gen", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot read config file")
+        assert str(cfg) in proc.stderr
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+
 
 class TestSeedResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -835,3 +868,239 @@ def test_readme_quick_start_parses():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv[1:])
+
+
+# Each fuzzed flag's values: malformed, out of range, and in range. No value
+# asks for more than 40 articles, 40 sessions or 8 draws, and --workers is
+# never above 1, so every example runs in this process in milliseconds.
+FUZZ_FLAGS = {
+    "--seed": ["0", "5", "-1", "x", ""],
+    "--workers": ["1", "0", "-1", "x"],
+    "--p": ["-1", "0", "1", "2", "8", "x", "nan"],
+    "--multiplier": ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.95", "x"],
+    "--metric": ["units", "revenue", "profit"],
+    "--strategy": ["article", "cluster", "x"],
+    "--n": ["-1", "0", "1", "2", "40", "x"],
+    "--cluster-size-min": ["-1", "0", "1", "3", "41"],
+    "--cluster-size-max": ["0", "1", "5", "40"],
+    "--own-mean": ["nan", "inf", "-inf", "0", "-2.5", "1", "-1e308"],
+    "--own-spread": ["nan", "-1", "0", "3"],
+    "--phi": ["nan", "-0.1", "0", "0.5", "0.99", "1"],
+    "--phi-bg": ["nan", "-0.1", "0", "0.5", "0.99"],
+    "--price-min": ["nan", "-1", "0", "10", "1e308"],
+    "--price-max": ["inf", "0", "5", "100", "1e308"],
+    "--quantity-min": ["nan", "-1", "0", "10", "1e308"],
+    "--quantity-max": ["inf", "0", "5", "100", "1e308"],
+    "--phis": ["", ",", "nan", "inf", "0", "-0.1", "0.1,0.99", "1", "x", "0.2,,0.4"],
+    "--strategies": ["", ",", "article", "cluster", "article,banana", "cluster,cluster"],
+    "--n-sessions": ["-1", "0", "1", "30", "x"],
+    "--views-min": ["-1", "0", "1", "3"],
+    "--views-max": ["-1", "0", "1", "4"],
+    "--purity": ["nan", "inf", "-0.5", "0", "1", "1.5"],
+    "--gamma": ["nan", "inf", "-inf", "0", "-1", "1", "1e308", "1e-308", "x"],
+    "--gammas": ["", ",", "nan", "inf", "0", "-1", "1,4", "1e-308,1e308", "x,1", "0.001,1"],
+    "--exposure-draws": ["-1", "0", "1", "3", "x"],
+    "--noise-sigma": ["nan", "inf", "-1", "0", "0.05", "1e300"],
+    "--ci-divisor": ["nan", "inf", "-inf", "0", "-1", "1.96", "1e-320"],
+}
+# Flags that name files, and --force, which takes no value.
+FUZZ_FILE_FLAGS = {"--config", "--out", "--system", "--partition", "--sessions", "--in",
+                   "--force"}
+# JSON values put in place of system and config values; each draw is a fresh copy.
+FUZZ_JUNK = st.sampled_from([None, True, False, 0, -1, 2, 10**30, -(10**30), 0.5, -2.5,
+                             1e308, -1e308, 5e-324, math.nan, math.inf, "x", "", "nan", [],
+                             [1, [2]], {}, {"a": 1}]).map(copy.deepcopy)
+
+
+class TestFuzz:
+    """``cli.main`` on malformed files and flag values.
+
+    Each run exits 0, or 1 with exactly one stderr line starting ``error:``, or
+    2 from argparse. No other exception and no warning escapes. A failed run
+    leaves no output file, and a file written with exit 0 holds ``nan`` only in
+    rows its report defines as undefined, and ``inf`` nowhere.
+    """
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        """Holds ``base.json``, the system that the file fuzzers mutate, and ``meta.csv``."""
+        path = tmp_path_factory.mktemp("fuzz")
+        assert run(["gen", "--n", "24", "--cluster-size-max", "5", "--seed", "1",
+                    "--out", path / "base.json"]) == 0
+        (path / "meta.csv").write_text("label,est_clustered,ci_halfwidth,est_article\n"
+                                       "q3,0.41,0.05,0.61\n")
+        return path
+
+    @staticmethod
+    def base_args(command: str, workdir: Path) -> list[str]:
+        """Arguments that make ``command`` run on the fuzz system; fuzzed flags follow."""
+        system = ["--system", str(workdir / "base.json")]
+        sessions = ["--n-sessions", "30"]
+        return {
+            "gen": ["--n", "24", "--cluster-size-max", "5"],
+            "simulate": [*system, "--p", "4"],
+            "sweep": ["--n", "24", "--cluster-size-max", "5", "--phis", "0.1,0.5", "--p", "4"],
+            "cluster": [*system, *sessions],
+            "exposure": [*system, *sessions],
+            "frontier": [*system, *sessions, "--gammas", "1,4", "--p", "4",
+                         "--exposure-draws", "2"],
+            "meta": ["--in", str(workdir / "meta.csv")],
+            "coverage": [*system, "--p", "4"],
+        }[command]
+
+    @staticmethod
+    def check_run(argv: list, out: Path) -> int:
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main([str(a) for a in [*argv, "--out", out]])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        err = stderr.getvalue()
+        if code == 2:
+            assert "error:" in err
+        elif code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert code == 0 and err == "", (code, err)
+            TestFuzz.check_output(out)
+        assert code == 0 or not out.exists()
+        return code
+
+    @staticmethod
+    def check_output(out: Path) -> None:
+        if out.suffix == ".json":
+            text = out.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+            return
+        header, *rows = read_rows(out)
+        for row in rows:
+            cells = dict(zip(header, row))
+            undefined = set()
+            if header == FRONTIER_HEADER and int(cells["n_clusters"]) < 2:
+                undefined = {"share_both", "mean_bias", "relative_sd"}
+            if header == COVERAGE_HEADER and float(cells["aa_sd"]) == 0:
+                undefined = {"coverage_rate", "mean_z"}
+            for name, value in cells.items():
+                if name in undefined:
+                    assert value == "nan", (name, row)
+                elif name not in ("strategy", "label") and not (name == "phi" and value == ""):
+                    assert math.isfinite(float(value)), (name, row)
+
+    def test_every_flag_with_a_value_is_fuzzed(self):
+        for name, command in subcommands(cli.build_parser()).items():
+            flags = {s for a in command._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags - FUZZ_FILE_FLAGS <= set(FUZZ_FLAGS), name
+
+    @settings(max_examples=90, deadline=None)
+    @given(data=st.data())
+    def test_flag_values(self, workdir, data):
+        parser = subcommands(cli.build_parser())
+        command = data.draw(st.sampled_from(sorted(parser)))
+        options = sorted({s for a in parser[command]._actions for s in a.option_strings}
+                         & set(FUZZ_FLAGS))
+        flags = data.draw(st.lists(st.sampled_from(options), min_size=1, max_size=4))
+        values = [f"{flag}={data.draw(st.sampled_from(FUZZ_FLAGS[flag]))}" for flag in flags]
+        self.check_run([command, *self.base_args(command, workdir), "--workers", "1",
+                        *values], workdir / "out.csv")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_system_file(self, workdir, data):
+        system = json.loads((workdir / "base.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(system) + ["config"]))
+            how = data.draw(st.sampled_from(["drop", "replace", "entry", "resize"]))
+            value = system.get(key)
+            if how == "drop":
+                system.pop(key, None)
+            elif how == "replace" or not value:
+                system[key] = data.draw(FUZZ_JUNK)
+            elif how == "resize" and isinstance(value, list):
+                system[key] = value[:-1] if data.draw(st.booleans()) else value + value[:1]
+            elif isinstance(value, (list, dict)):
+                at = data.draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                               else range(len(value))))
+                value[at] = data.draw(FUZZ_JUNK)
+        path = workdir / "sys.json"
+        path.write_text(json.dumps(system))
+        command = data.draw(st.sampled_from(["simulate", "coverage", "frontier", "cluster",
+                                             "exposure"]))
+        args = self.base_args(command, workdir)
+        args[args.index("--system") + 1] = path
+        strategy = [] if command in ("cluster", "frontier") else data.draw(
+            st.sampled_from([[], ["--strategy", "cluster"]]))
+        self.check_run([command, *args, *strategy, "--workers", "1"], workdir / "out.csv")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_config_file(self, workdir, data):
+        parser = subcommands(cli.build_parser())
+        command = data.draw(st.sampled_from(sorted(parser)))
+        keys = sorted({a.dest for a in parser[command]._actions} - {"help"}) + ["frobnicate"]
+        cfg = workdir / "cfg.json"
+        if data.draw(st.integers(0, 5)) == 0:
+            cfg.write_bytes(data.draw(st.sampled_from(
+                [b"", b"\xff", b"[" * 5000, b"[]", b"null", b"1", b'{"p": }', b"{}"])))
+        else:
+            cfg.write_text(json.dumps(data.draw(st.dictionaries(
+                st.sampled_from(keys), FUZZ_JUNK | st.sampled_from(
+                    ["1", "4", "0.5", "units", "cluster", "article,cluster", "1,4"]),
+                max_size=3))))
+        self.check_run([command, *self.base_args(command, workdir), "--workers", "1",
+                        "--config", cfg], workdir / "out.csv")
+
+    CSV_CELLS = ["", "x", "-1", "1.5", " 7", "+7", "nan", "inf", "0", "1e308", "1e-320",
+                 str(2**62), str(2**63), str(2**64), '"a,b"', '"a\rb"']
+
+    @settings(max_examples=70, deadline=None)
+    @given(data=st.data())
+    def test_csv_file(self, workdir, data):
+        partition = json.loads((workdir / "base.json").read_text())["partition"]
+        kind = data.draw(st.sampled_from(["partition", "sessions", "meta"]))
+        header, rows = {
+            "partition": ("article_id,cluster_id",
+                          [[str(i), str(c)] for i, c in enumerate(partition)]),
+            "sessions": ("session_id,article_id",
+                         [[f"s{i // 3}", str(5 * i % 24)] for i in range(12)]),
+            "meta": ("label,est_clustered,ci_halfwidth,est_article",
+                     [["q3", "0.41", "0.05", "0.61"], ["q4", "0.35", "0.08", "0.62"]]),
+        }[kind]
+        for _ in range(data.draw(st.integers(1, 3))):
+            how = data.draw(st.sampled_from(["cell", "cell", "drop", "repeat", "blank",
+                                             "long", "short", "header"]))
+            at = data.draw(st.integers(0, len(rows) - 1)) if rows else 0
+            if how == "header":
+                header = data.draw(st.sampled_from(["", "a,b", f" {header} ", header + ",x"]))
+            elif how == "blank" or not rows:
+                rows.insert(at, [])
+            elif how == "cell":
+                row = rows[at] or [""]
+                row[data.draw(st.integers(0, len(row) - 1))] = \
+                    data.draw(st.sampled_from(self.CSV_CELLS))
+                rows[at] = row
+            else:
+                row = rows.pop(at)
+                rows[at:at] = {"drop": [], "repeat": [row, row], "long": [row + ["1"]],
+                               "short": [row[:1]]}[how]
+        path = workdir / "in.csv"
+        path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        system = ["--system", workdir / "base.json"]
+        if kind == "meta":
+            argv = ["meta", "--in", path]
+        elif kind == "partition":
+            argv = data.draw(st.sampled_from([
+                ["simulate", *system, "--strategy", "cluster", "--p", "4"],
+                ["coverage", *system, "--strategy", "cluster", "--p", "4"],
+                ["exposure", "--n-sessions", "30"], ["cluster", "--n-sessions", "30"],
+                ["frontier", *self.base_args("frontier", workdir)]]))
+            argv += ["--partition", path]
+        else:
+            argv = data.draw(st.sampled_from([
+                ["cluster"], ["cluster", *system], ["exposure", *system],
+                ["exposure", "--strategy", "article"], ["frontier", *system, "--p", "4",
+                                                        "--gammas", "1,4",
+                                                        "--exposure-draws", "2"]]))
+            argv += ["--sessions", path]
+        self.check_run([*argv, "--workers", "1"], workdir / "out.csv")

@@ -1,7 +1,12 @@
 """Tests for session synthesis, the co-view graph, and exposure shares."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interference_lab import (
     ArticleLevel,
@@ -16,7 +21,7 @@ from interference_lab import (
     generate_sessions,
     read_sessions,
 )
-from interference_lab.clickstream import write_sessions
+from interference_lab.clickstream import _read_csr, write_sessions
 
 
 def planted_partition(k: int, size: int) -> Partition:
@@ -142,6 +147,39 @@ class TestSessionIO:
         with caplog.at_level("WARNING"):
             assert read_sessions(path) == []
         assert "empty" in caplog.text
+
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        write_sessions([Session('a "b", c', frozenset({3, 1})), Session(" d", frozenset({2}))],
+                       path)
+        assert path.read_bytes() == (b'session_id,article_id\n"a ""b"", c",1\n'
+                                     b'"a ""b"", c",3\n d,2\n')
+
+    # Session ids rich in what CSV must quote or keep: commas, quotes, line ends,
+    # outer spaces and non-ASCII text. Surrogates are not text and cannot be UTF-8.
+    SESSION_IDS = st.text(st.sampled_from(list(',"\n\r \t\x00aé中😀')) | st.characters(
+        blacklist_categories=("Cs",)), max_size=6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(SESSION_IDS, st.frozensets(st.integers(0, 50), min_size=1,
+                                                         max_size=4)),
+                    max_size=6, unique_by=lambda t: t[0]))
+    def test_round_trip_through_the_shared_writer(self, drawn):
+        sessions = [Session(sid, viewed) for sid, viewed in drawn]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clicks.csv"
+            if any("\r" in s.session_id for s in sessions):
+                # The csv module would leave "\r" unquoted, and a reader would split the row.
+                with pytest.raises(ValueError, match="carriage return"):
+                    write_sessions(sessions, path)
+                assert not path.exists()
+                return
+            write_sessions(sessions, path)
+            ids, indptr, article = _read_csr(path)
+            assert read_sessions(path) == sessions
+        assert ids == [s.session_id for s in sessions]
+        assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
+            [sorted(s.viewed) for s in sessions]
 
 
 class TestBuildGraph:

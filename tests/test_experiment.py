@@ -229,6 +229,13 @@ class TestSweep:
             sweep_substitution(GeneratorConfig(n=50), [1.5], ["article"],
                                PricePolicy(0.95), Metric.REVENUE, p=10, seed=0)
 
+    def test_rejects_a_late_phi_before_any_work(self, monkeypatch):
+        monkeypatch.setattr("interference_lab.experiment.generate_demand_system",
+                            lambda *a: pytest.fail("a system was generated"))
+        with pytest.raises(ValueError, match=r"^phi values must lie in \[0, 1\)$"):
+            sweep_substitution(GeneratorConfig(n=50), [0.1, 1.5], ["article"],
+                               PricePolicy(0.95), Metric.REVENUE, p=10, seed=0)
+
 
 class TestCoverage:
     def test_null_policy_z_is_centered(self, clean_system):
