@@ -32,15 +32,16 @@ GENERATOR_FLAGS = {f.name: f.name for f in fields(demand.GeneratorConfig)} | {
     "within_share": "phi", "background_share": "phi_bg"}
 
 
-def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
+def _add_generator_flags(parser: argparse.ArgumentParser, skip=()) -> None:
     for name, flag in GENERATOR_FLAGS.items():
-        default = getattr(demand.GeneratorConfig, name)
-        parser.add_argument(f"--{flag.replace('_', '-')}", default=default, type=type(default))
+        if name not in skip:
+            default = getattr(demand.GeneratorConfig, name)
+            parser.add_argument(f"--{flag.replace('_', '-')}", default=default, type=type(default))
 
 
 def _generator_config(args) -> demand.GeneratorConfig:
-    return demand.GeneratorConfig(**{name: getattr(args, flag)
-                                     for name, flag in GENERATOR_FLAGS.items()})
+    return demand.GeneratorConfig(**{name: getattr(args, flag) for name, flag
+                                     in GENERATOR_FLAGS.items() if hasattr(args, flag)})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -68,7 +69,7 @@ def _add_inputs(parser: argparse.ArgumentParser, system_required: bool,
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--multiplier", type=float, default=0.95,
+    parser.add_argument("--multiplier", type=float, default=demand.PricePolicy.treated_multiplier,
                         help="treated price multiplier (default %(default)s)")
     parser.add_argument("--metric", choices=["units", "revenue"], default="revenue")
     parser.add_argument("--p", type=int, default=1000,
@@ -108,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, system_required=True, strategy_default="article")
 
     p = command("sweep", cmd_sweep, "bias/variance sweep over substitution strengths")
-    _add_generator_flags(p)
+    _add_generator_flags(p, skip=("within_share",))
     _add_mc_flags(p)
     p.add_argument("--phis", type=str, default="0.1,0.2,0.3,0.4,0.5,0.6",
-                   help="comma-separated within-cluster substitution shares")
+                   help="comma-separated within-cluster substitution shares, one system each")
     p.add_argument("--strategies", type=str, default="article,cluster",
                    help="comma-separated subset of: article,cluster")
 
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, system_required=True)
     p.add_argument("--gammas", type=str, default="0.25,0.5,1,2,4,8",
                    help="comma-separated resolution values")
-    p.add_argument("--exposure-draws", type=int, default=32)
+    p.add_argument("--exposure-draws", type=int, default=clustering.DEFAULT_EXPOSURE_DRAWS)
 
     p = command("meta", cmd_meta, "meta-experiment bias arithmetic")
     p.add_argument("--in", dest="infile", type=Path, required=True,
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("coverage", cmd_coverage, "naive-interval coverage analysis")
     _add_mc_flags(p)
     _add_inputs(p, system_required=True, strategy_default="article")
-    p.add_argument("--noise-sigma", type=float, default=0.05,
+    p.add_argument("--noise-sigma", type=float, default=experiment.DEFAULT_NOISE_SIGMA,
                    help="lognormal observation-noise sigma (default %(default)s)")
 
     return parser
@@ -228,13 +229,13 @@ def _strategy(args, part: demand.Partition | None):
 
 def _session_csr(args, part: demand.Partition | None) -> tuple[np.ndarray, np.ndarray, int]:
     """(indptr, article, n) of the clickstream CSV, or of sessions synthesized from ``part``."""
+    if (args.sessions is None) == (args.n_sessions is None):
+        raise RuntimeError("provide --sessions, or --n-sessions for synthesis, but not both")
     if args.sessions is not None:
         ids, indptr, article = clickstream._read_csr(args.sessions, part.n if part else None)
         if not ids:
             raise RuntimeError(f"{args.sessions}: no sessions")
         return indptr, article, part.n if part else int(article.max()) + 1
-    if args.n_sessions is None:
-        raise RuntimeError("provide --sessions or --n-sessions for synthesis")
     if part is None:
         raise RuntimeError("session synthesis needs --partition or --system")
     return *clickstream._generate(part, args.n_sessions, args.views_min, args.views_max,

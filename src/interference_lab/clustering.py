@@ -14,7 +14,9 @@ such an edge list, with self-loops holding each node's internal weight.
 Weights are integer counts, so no move decision depends on summation order.
 Local moving skips a node whose last visit found no move until a community
 it read gains or loses a node, since until then its inputs and so its
-verdict are unchanged; partitions are those of visiting every node.
+verdict are unchanged; partitions are those of visiting every node. A phase
+stops once every node is stable, and the levels stop at one that moves no
+node (it leaves as many communities as nodes) or leaves one community.
 
 Local moving takes a tuple of gammas and gives up at the first visit where
 their verdicts differ. ``frontier`` runs the levels its gammas share once,
@@ -48,6 +50,7 @@ from .experiment import (
 )
 
 GAIN_EPS = 1e-12
+DEFAULT_EXPOSURE_DRAWS = 32  # cluster-level assignments averaged per frontier gamma
 
 
 @dataclass(frozen=True)
@@ -92,11 +95,11 @@ def modularity(graph: SessionGraph, partition: Partition, gamma: float = 1.0) ->
 
 
 def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: float,
-                gammas: tuple, rng: np.random.Generator) -> tuple[np.ndarray, bool] | None:
+                gammas: tuple, rng: np.random.Generator) -> np.ndarray | None:
     """One local-moving phase over a level's k nodes for every resolution in ``gammas``.
 
-    Returns (community per node, any_move), as for each gamma alone, or None at
-    the first visit where the gammas' verdicts differ (never with one gamma).
+    Returns the community per node, as for each gamma alone, or None at the
+    first visit where the gammas' verdicts differ (never with one gamma).
 
     Passes skip stable nodes without changing any move. A visit's verdict
     depends only on the node's community, its neighbours' communities (which
@@ -107,7 +110,9 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     neighbour's) gains or loses a node; a neighbour's move is such a change,
     since the neighbour leaves a community the node read. Each pass still
     draws its permutation, so the RNG stream, the pass count and every move
-    are those of visiting every node.
+    are those of visiting every node. Passes stop once every node is stable:
+    a pass without a move marks each node it visits stable, and a node that
+    moves stays unstable through its pass.
     """
     strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
     # CSR adjacency over both directions of every edge except self-loops
@@ -127,9 +132,7 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     # watchers[c]: nodes found stable while reading sigma_tot[c]
     watchers: list[list[int]] = [[] for _ in range(k)]
 
-    any_move = False
-    while True:
-        moved_this_pass = False
+    while not all(stable):
         for i in node[rng.permutation(k)].tolist():
             if stable[i]:
                 continue
@@ -139,42 +142,35 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
             links: dict[int, float] = {}
             for j, w_ij in zip(nbr[ptr[i]:ptr[i + 1]], nbr_w[ptr[i]:ptr[i + 1]]):
                 links[comm[j]] = links.get(comm[j], 0.0) + w_ij
-            base_in = links.get(current, 0.0)
+            base_in = links.setdefault(current, 0.0)
             rest = sigma_tot[current] - d_i
-            # ascending candidate order breaks near-ties toward the lowest id
+            # ascending candidate order breaks near-ties toward the lowest id; staying
+            # scores -gamma d_i^2 / 2m^2 <= 0 as a candidate, so it never beats best_gain
             cands = sorted(links)
             verdict = None
             for gamma in gammas:
                 gamma_d = gamma * d_i
                 best_comm, best_gain = current, 0.0
                 for c in cands:
-                    if c == current:
-                        continue
                     gain = (links[c] - base_in) / m - gamma_d * (sigma_tot[c] - rest) / two_m2
                     if gain > best_gain + GAIN_EPS:
                         best_comm, best_gain = c, gain
                 if verdict not in (None, best_comm):
                     return None
                 verdict = best_comm
-            if best_comm != current and best_gain > GAIN_EPS:
+            if best_comm != current:
                 sigma_tot[current] -= d_i
                 sigma_tot[best_comm] += d_i
                 comm[i] = best_comm
-                moved_this_pass = True
-                any_move = True
                 for c in (current, best_comm):
                     for j in watchers[c]:
                         stable[j] = False
                     watchers[c] = []
             else:
                 stable[i] = True
-                watchers[current].append(i)
                 for c in links:
-                    if c != current:
-                        watchers[c].append(i)
-        if not moved_this_pass:
-            break
-    return np.array(comm), any_move
+                    watchers[c].append(i)
+    return np.array(comm)
 
 
 def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
@@ -193,19 +189,18 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
         graph.src, graph.dst, graph.w, graph.n, np.arange(graph.n), rng.bit_generator.state)
     while True:
         start = (src, dst, w, k, membership, rng.bit_generator.state)
-        level = _local_move(src, dst, w, k, m, gammas, rng)
-        if level is None:
+        comm = _local_move(src, dst, w, k, m, gammas, rng)
+        if comm is None:
             return None, start
-        comm, moved = level
-        if not moved:
-            break
         # membership maps original node -> current-level node; comm now maps
         # current-level node -> aggregated node, so compose them.
         labels, comm = np.unique(comm, return_inverse=True)
         membership = comm[membership]
-        k = labels.size
-        if k <= 1:
+        # A move never enters an empty community, so a level moved a node
+        # exactly when it left fewer communities than nodes.
+        if not 1 < labels.size < k:
             break
+        k = labels.size
         lo, hi = np.minimum(comm[src], comm[dst]), np.maximum(comm[src], comm[dst])
         pairs, pair_of = np.unique(lo * k + hi, return_inverse=True)
         src, dst, w = pairs // k, pairs % k, np.bincount(pair_of, w)
@@ -239,7 +234,7 @@ def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition
 
 def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: PricePolicy,
              metric: Metric, p: int, seed: int, workers: int = 1,
-             exposure_draws: int = 32) -> list[FrontierPoint]:
+             exposure_draws: int = DEFAULT_EXPOSURE_DRAWS) -> list[FrontierPoint]:
     """Bias/variance/exposure trade-off across clustering resolutions.
 
     Per gamma: cluster the co-view graph, average the exposure share over

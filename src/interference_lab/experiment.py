@@ -32,6 +32,7 @@ from .demand import (
 )
 
 GTE_ABS_FLOOR = 1e-12
+DEFAULT_NOISE_SIGMA = 0.05  # lognormal observation noise of the coverage analysis
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,6 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     return Estimate(lift, treated_outcome, control_outcome, treated_base, control_base)
 
 
-def _seed_list(master_seed) -> list[int]:
-    if isinstance(master_seed, (int, np.integer)):
-        return [int(master_seed)]
-    return [int(s) for s in master_seed]
-
-
 def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple]:
     """Lifts of draws ks, one per experiment ``(policy, stream, sigma)`` in each.
 
@@ -301,7 +296,8 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     bit-identical for any worker count.
     """
     gte = global_treatment_effect(system, policy, metric)
-    master = _seed_list(master_seed)
+    # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
+    master = [int(s) for s in np.array(master_seed, dtype=object, ndmin=1)]
     (estimates,) = _map_draws(system, strategy, metric, master, [(policy, None, None)],
                               p, workers)
     return _bias_report(estimates, gte, master[0])
@@ -346,7 +342,8 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
 
 def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
                       policy: PricePolicy, metric: Metric, p: int, seed: int,
-                      noise_sigma: float = 0.05, workers: int = 1) -> CoverageReport:
+                      noise_sigma: float = DEFAULT_NOISE_SIGMA,
+                      workers: int = 1) -> CoverageReport:
     """Calibrate naive intervals from A/A spread and test them against the GTE.
 
     The pure simulator has no sampling noise, so seeded lognormal observation

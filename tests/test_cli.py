@@ -283,6 +283,26 @@ class TestSweep:
         assert capsys.readouterr().err == "error: empty phi list: ','\n"
         assert not out.exists()
 
+    def test_phi_flag_is_a_usage_error(self, tmp_path):
+        # Each row takes its phi from --phis, so a --phi would change nothing.
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", *GEN_SMALL, "--phi", "0.2", "--phis", "0", "--p", "4",
+                 "--out", tmp_path / "s.csv"])
+        assert exc.value.code == 2
+
+    def test_phi_config_key_is_unknown(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+        cfg.write_text(json.dumps({"phi": 0.2}))
+        assert run(["sweep", *GEN_SMALL, "--phis", "0", "--p", "4", "--config", cfg,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg}: unknown key 'phi'\n"
+        assert not out.exists()
+
+    def test_gen_still_takes_phi(self, tmp_path):
+        out = tmp_path / "sys.json"
+        assert run(["gen", *GEN_SMALL, "--phi", "0.2", "--out", out]) == 0
+        assert DemandSystem.load(out).config.within_share == 0.2
+
 
 class TestCluster:
     def test_synthesized_sessions_to_partition(self, system_path, tmp_path):
@@ -439,6 +459,34 @@ class TestFrontier:
         assert run(["frontier", "--system", system_path, "--sessions", clicks,
                     "--p", "4", "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {clicks}: {message}\n"
+        assert not out.exists()
+
+
+class TestSessionSource:
+    """``--sessions`` and ``--n-sessions`` together, on the command line or from ``--config``."""
+
+    EXTRA = {"cluster": [], "exposure": [], "frontier": ["--gammas", "1", "--p", "4"]}
+
+    @pytest.mark.parametrize("command", ["cluster", "exposure", "frontier"])
+    @pytest.mark.parametrize("in_config", [None, "sessions", "n_sessions"])
+    @pytest.mark.parametrize("file_exists", [True, False])
+    def test_both_is_one_error_line_before_the_file_is_read(
+            self, system_path, tmp_path, capsys, command, in_config, file_exists):
+        clicks = tmp_path / "clicks.csv"
+        if file_exists:
+            clicks.write_text("session_id,article_id\na,1\na,2\nb,2\nb,3\n")
+        values = {"sessions": str(clicks), "n_sessions": 5}
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()
+                 if key != in_config]
+        if in_config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({in_config: values[in_config]}))
+            flags += ["--config", cfg]
+        out = tmp_path / "o.csv"
+        assert run([command, "--system", system_path, *self.EXTRA[command], *flags,
+                    "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: provide --sessions, or --n-sessions for synthesis, but not both\n")
         assert not out.exists()
 
 
@@ -823,8 +871,9 @@ class TestOptionTable:
         "simulate": MC | {(("--system",), None, True, None),
                           (("--partition",), None, False, None),
                           (("--strategy",), "article", False, STRATEGY)},
-        "sweep": GENERATOR | MC | {(("--phis",), "0.1,0.2,0.3,0.4,0.5,0.6", False, None),
-                                   (("--strategies",), "article,cluster", False, None)},
+        "sweep": GENERATOR - {(("--phi",), 0.3, False, None)} | MC | {
+            (("--phis",), "0.1,0.2,0.3,0.4,0.5,0.6", False, None),
+            (("--strategies",), "article,cluster", False, None)},
         "cluster": SESSIONS | {(("--system",), None, False, None),
                                (("--partition",), None, False, None),
                                (("--gamma",), 1.0, False, None)},

@@ -197,6 +197,19 @@ class TestMonteCarloBias:
         assert r.gte == pytest.approx(0.0, abs=1e-12)
         assert r.mean_bias == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("master_seed,entries", [
+        (7, [7]), (np.int64(7), [7]), ([2**63 + 1, 0, 2], [2**63 + 1, 0, 2]),
+        ((10**26, 1), [10**26, 1])])
+    def test_draw_k_assigns_from_the_master_seed_then_k(self, small_system, master_seed,
+                                                         entries):
+        policy, metric, p = PricePolicy(0.95), Metric.REVENUE, 4
+        lifts = [run_experiment(small_system, assign(ArticleLevel(), small_system.n,
+                                                     np.random.default_rng([*entries, k])),
+                                policy, metric).lift for k in range(p)]
+        r = monte_carlo_bias(small_system, ArticleLevel(), policy, metric, p, master_seed)
+        assert r.mean_estimate == np.asarray(lifts).mean()
+        assert r.seed == entries[0]
+
     def test_rejects_tiny_p(self, small_system):
         with pytest.raises(ValueError):
             monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(0.95),
