@@ -266,8 +266,7 @@ def cmd_simulate(args) -> None:
         system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
         p=args.p, master_seed=args.seed, workers=args.workers)
     phi = system.config.within_share if system.config else None
-    reports.write_bias_report(args.out, report, experiment.strategy_label(strategy),
-                              phi=phi)
+    reports.write_bias_report(args.out, report, strategy.name, phi=phi)
 
 
 def cmd_sweep(args) -> None:

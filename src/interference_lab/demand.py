@@ -487,18 +487,10 @@ def base_metric_values(system: DemandSystem, metric: Metric) -> np.ndarray:
     return system.base_prices * system.base_quantities
 
 
-def outcome(system: DemandSystem, multipliers, metric: Metric, subset=None) -> float:
-    """Aggregate Units or Revenue over a subset of articles (default: all)."""
+def outcome(system: DemandSystem, multipliers, metric: Metric) -> float:
+    """Aggregate Units or Revenue over all articles."""
     q = demand_at(system, multipliers)
-    if subset is None:
-        idx = np.arange(system.n)
-    else:
-        idx = np.asarray(sorted(subset), dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("subset must be non-empty")
-        if idx.min() < 0 or idx.max() >= system.n:
-            raise ValueError("subset indices out of range")
-    return float(metric_values(system, multipliers, q, metric)[idx].sum())
+    return float(metric_values(system, multipliers, q, metric).sum())
 
 
 def global_treatment_effect(system: DemandSystem, policy: PricePolicy,

@@ -256,10 +256,8 @@ def _map_draws(system, strategy, metric, master, experiments, p: int,
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Nearest-rank quantile: the ceil(q*p)-th smallest value."""
-    s = np.sort(values)
-    idx = max(math.ceil(q * s.size) - 1, 0)
-    return float(s[idx])
+    """Nearest-rank quantile: the ceil(q*p)-th smallest value (the smallest at q = 0)."""
+    return float(np.quantile(values, q, method="inverted_cdf"))
 
 
 def _bias_report(estimates: np.ndarray, gte: float, seed: int) -> BiasReport:
@@ -308,19 +306,15 @@ def mc_standard_error(report: BiasReport) -> float:
     return report.relative_sd / math.sqrt(report.p)
 
 
-def strategy_label(strategy: RandomizationStrategy) -> str:
-    return strategy.name
-
-
 def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PricePolicy,
                        metric: Metric, p: int, seed: int,
                        workers: int = 1) -> list[SweepRow]:
     """One BiasReport per (phi, strategy); a fresh system per phi.
 
     ``strategies`` holds the labels "article" and "cluster"; "cluster" uses
-    the fresh system's ground-truth partition. An unknown label, or a phi
-    outside [0, 1), is rejected before any work. Rows come out in (phi,
-    strategy) order, and all of them share one pool of ``workers`` processes.
+    the fresh system's ground-truth partition. An unknown label, or a phi outside
+    [0, 1) or with an invalid config, is rejected before any work. Rows come out in
+    (phi, strategy) order, and all of them share one pool of ``workers`` processes.
     """
     for label in strategies:
         if label not in ("article", "cluster"):
@@ -330,13 +324,20 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
         # Every phi is checked before the first system; the pool starts no worker before a job.
         if not all(0 <= phi < 1 for phi in phis):
             raise ValueError("phi values must lie in [0, 1)")
-        for i, phi in enumerate(phis):
-            system = generate_demand_system(replace(config, within_share=float(phi)), seed)
+        replace(config, within_share=0.0).validate()  # the fields other than phi
+        configs = [replace(config, within_share=float(phi)) for phi in phis]
+        for cfg in configs:
+            try:
+                cfg.validate()
+            except ValueError as exc:
+                raise ValueError(f"phi {cfg.within_share}: {exc}") from None
+        for i, cfg in enumerate(configs):
+            system = generate_demand_system(cfg, seed)
             for j, label in enumerate(strategies):
                 strat = ArticleLevel() if label == "article" else ClusterLevel(system.partition)
                 report = monte_carlo_bias(system, strat, policy, metric, p,
                                           master_seed=[seed, i, j], workers=workers)
-                rows.append(SweepRow(phi=float(phi), strategy=label, report=report))
+                rows.append(SweepRow(phi=cfg.within_share, strategy=label, report=report))
     return rows
 
 

@@ -745,6 +745,24 @@ class TestConfigFile:
         assert proc.stderr.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["frontier", "--system", "{sys}", "--n-sessions", "300", "--gammas", "a,b", "--p", "4"],
+     "cannot parse gamma list: 'a,b'"),
+    (["gen", "--config", "{pair}"], "config file {pair} must hold a JSON object"),
+    (["cluster", "--n-sessions", "10"], "session synthesis needs --partition or --system"),
+    (["gen", "--own-spread=-1"], "own_spread must be >= 0"),
+    (["simulate", "--system", "{one}"], "demand system must be a JSON object"),
+], ids=["gamma-list", "config-array", "synthesis-space", "own-spread", "system-array"])
+def test_input_error_is_one_error_line(system_path, tmp_path, capsys, argv, message):
+    files = {"sys": system_path, "pair": tmp_path / "pair.json", "one": tmp_path / "one.json"}
+    files["pair"].write_text("[1, 2]")
+    files["one"].write_text("[1]")
+    out = tmp_path / "out"
+    assert run([a.format(**files) for a in argv] + ["--workers", "1", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert not out.exists()
+
+
 class TestSeedResolution:
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "3")

@@ -289,14 +289,6 @@ class TestOutcomes:
         assert units == pytest.approx(5.0 * 0.8 ** -2.0)
         assert revenue == pytest.approx(0.8 * 10.0 * units)
 
-    def test_subset_outcomes_sum_to_total(self):
-        system = generate_demand_system(GeneratorConfig(n=30), seed=4)
-        mu = np.full(30, 0.9)
-        total = outcome(system, mu, Metric.REVENUE)
-        partial = (outcome(system, mu, Metric.REVENUE, subset=range(15))
-                   + outcome(system, mu, Metric.REVENUE, subset=range(15, 30)))
-        assert partial == pytest.approx(total, rel=1e-12)
-
     def test_gte_closed_form_two_articles(self):
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
         gte = global_treatment_effect(system, PricePolicy(0.9), Metric.UNITS)

@@ -1,8 +1,10 @@
 """Tests for randomization, the lift estimator, and Monte-Carlo bias."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
@@ -24,7 +26,6 @@ from interference_lab import (
 from interference_lab.experiment import (
     mc_standard_error,
     nearest_rank_quantile,
-    strategy_label,
 )
 from tests.test_demand import make_system
 
@@ -75,8 +76,18 @@ class TestAssign:
         with pytest.raises(ValueError):
             Assignment(np.array([], dtype=bool))
 
+    def test_unknown_strategy_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown randomization strategy: "):
+            assign(object(), 4, np.random.default_rng(0))
+
 
 class TestEstimator:
+    def test_assignment_of_another_length_is_rejected(self):
+        system = generate_demand_system(GeneratorConfig(n=40), seed=0)
+        with pytest.raises(ValueError, match="^assignment length does not match the system$"):
+            run_experiment(system, Assignment(np.array([True, False, True])),
+                           PricePolicy(0.95), Metric.REVENUE)
+
     def test_closed_form_two_articles(self):
         # own=-2, beta=0.5, m=0.9: lift = m^(own-beta) - 1.
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
@@ -151,6 +162,29 @@ class TestNearestRankQuantile:
     def test_quantile_is_an_observed_value(self, xs, q):
         values = np.asarray(xs)
         assert nearest_rank_quantile(values, q) in values
+
+    @staticmethod
+    def reference(values, q):
+        """The ceil(q*p)-th smallest value, by sorting and indexing."""
+        s = np.sort(values)
+        return float(s[max(math.ceil(q * s.size) - 1, 0)])
+
+    @pytest.mark.parametrize("q", [0.0, 0.05, 0.5, 0.95, 1.0])
+    def test_matches_the_reference_at_every_size(self, q):
+        values = np.random.default_rng(5).normal(size=2000)
+        for size in range(1, 2001):
+            assert nearest_rank_quantile(values[:size], q) == self.reference(values[:size], q)
+
+    @given(size=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1), q=st.floats(0, 1),
+           k=st.integers(0, 2000))
+    @example(size=1000, seed=0, q=0.05, k=0)
+    @example(size=1000, seed=0, q=0.5, k=0)
+    @example(size=1000, seed=0, q=0.95, k=0)
+    def test_matches_the_reference(self, size, seed, q, k):
+        values = np.random.default_rng(seed).integers(-20, 20, size).astype(float)
+        # At q = k/size, floating-point rounding decides ceil(q*size).
+        for q in (q, min(k, size) / size):
+            assert nearest_rank_quantile(values, q) == self.reference(values, q)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +283,19 @@ class TestSweep:
             sweep_substitution(GeneratorConfig(n=50), [0.1, 1.5], ["article"],
                                PricePolicy(0.95), Metric.REVENUE, p=10, seed=0)
 
+    @pytest.mark.parametrize("config,message", [
+        (GeneratorConfig(n=50, background_share=0.6),
+         r"^phi 0\.5: within_share \+ background_share must be < 1$"),
+        # A field other than phi fails for every phi, so its error names none.
+        (GeneratorConfig(n=0), r"^n must be >= 1$"),
+    ], ids=["late-phi-with-background", "other-field"])
+    def test_rejects_an_invalid_config_before_any_work(self, monkeypatch, config, message):
+        monkeypatch.setattr("interference_lab.experiment.generate_demand_system",
+                            lambda *a: pytest.fail("a system was generated"))
+        with pytest.raises(ValueError, match=message):
+            sweep_substitution(config, [0.1, 0.5], ["article"], PricePolicy(0.95),
+                               Metric.REVENUE, p=10, seed=0)
+
 
 class TestCoverage:
     def test_null_policy_z_is_centered(self, clean_system):
@@ -288,6 +335,6 @@ class TestCoverage:
 
 
 def test_strategy_labels():
-    assert strategy_label(ArticleLevel()) == "article"
+    assert ArticleLevel().name == "article"
     part = Partition(np.array([0, 0, 1, 1]))
-    assert strategy_label(ClusterLevel(part)) == "cluster"
+    assert ClusterLevel(part).name == "cluster"
