@@ -12,11 +12,10 @@ splits true clusters (see ``frontier``).
 Both read the graph's ``src``/``dst``/``w`` edge arrays. A Louvain level is
 such an edge list, with self-loops holding each node's internal weight.
 Weights are integer counts, so no move decision depends on summation order.
-Local moving skips a node whose last visit found no move until a community
-it read gains or loses a node, since until then its inputs and so its
-verdict are unchanged; partitions are those of visiting every node. A phase
-stops once every node is stable, and the levels stop at one that moves no
-node (it leaves as many communities as nodes) or leaves one community.
+Local moving never visits a node without a neighbour, which can only stay, and
+skips a node whose visit found no move until a community it read gains or
+loses a node; partitions are those of visiting every node. The levels stop at
+one that moves no node or leaves one community.
 
 Local moving takes a tuple of gammas and gives up at the first visit where
 their verdicts differ. ``frontier`` runs the levels its gammas share once,
@@ -27,6 +26,7 @@ then each gamma alone from the start of the first level where they differ;
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,25 +101,26 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     Returns the community per node, as for each gamma alone, or None at the
     first visit where the gammas' verdicts differ (never with one gamma).
 
-    Passes skip stable nodes without changing any move. A visit's verdict
-    depends only on the node's community, its neighbours' communities (which
-    give ``links``), ``sigma_tot`` of the communities those name, ``d_i``,
-    ``m`` and ``gamma``. Weights are integer counts and ``links`` is summed in
-    a fixed order, so the same inputs give the same verdict. A node whose
-    visit found no move is stable until a community it read (its own or a
-    neighbour's) gains or loses a node; a neighbour's move is such a change,
-    since the neighbour leaves a community the node read. Each pass still
-    draws its permutation, so the RNG stream, the pass count and every move
-    are those of visiting every node. Passes stop once every node is stable:
-    a pass without a move marks each node it visits stable, and a node that
-    moves stays unstable through its pass.
+    Passes visit the nodes with a neighbour in the order of a permutation of
+    all k nodes, and skip stable ones. A node without a neighbour can only
+    stay, and no node can join it, so it is stable from the start. A visit's
+    verdict depends only on the node's community, its neighbours' communities
+    (which give ``links``), ``sigma_tot`` of the communities those name,
+    ``d_i``, ``m`` and ``gamma``; weights are integer counts and ``links`` is
+    summed in a fixed order, so the same inputs give the same verdict. A visit
+    that finds no move marks the node stable until a community it read (its own
+    or a neighbour's) gains or loses a node. A pass without a move leaves every
+    node stable, so the RNG stream and every move are those of visiting every
+    node, except that a level whose edges are all self-loops runs no pass, not
+    one without a move; it is the last, so nothing draws after it.
     """
     strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
     # CSR adjacency over both directions of every edge except self-loops
     link = src != dst
     tail = np.concatenate([src[link], dst[link]])
     order = np.argsort(tail, kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=k))]).tolist()
+    degree = np.bincount(tail, minlength=k)
+    ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
     # One int object per node, shared by the lists below; fresh ints per
     # list entry would cost 32 bytes each.
     node = np.arange(k, dtype=object)
@@ -128,12 +129,13 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     comm = node.tolist()
     sigma_tot = strength.copy()
     two_m2 = 2.0 * m * m
-    stable = [False] * k
+    stable = (degree == 0).tolist()
     # watchers[c]: nodes found stable while reading sigma_tot[c]
-    watchers: list[list[int]] = [[] for _ in range(k)]
+    watchers: defaultdict[int, list[int]] = defaultdict(list)
 
     while not all(stable):
-        for i in node[rng.permutation(k)].tolist():
+        perm = rng.permutation(k)
+        for i in node[perm[degree[perm] > 0]].tolist():
             if stable[i]:
                 continue
             current = comm[i]
@@ -163,9 +165,8 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
                 sigma_tot[best_comm] += d_i
                 comm[i] = best_comm
                 for c in (current, best_comm):
-                    for j in watchers[c]:
+                    for j in watchers.pop(c, ()):
                         stable[j] = False
-                    watchers[c] = []
             else:
                 stable[i] = True
                 for c in links:

@@ -319,18 +319,17 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
     for label in strategies:
         if label not in ("article", "cluster"):
             raise ValueError(f"unknown strategy '{label}'")
+    if not all(0 <= phi < 1 for phi in phis):
+        raise ValueError("phi values must lie in [0, 1)")
+    replace(config, within_share=0.0).validate()  # the fields other than phi
+    configs = [replace(config, within_share=float(phi)) for phi in phis]
+    for cfg in configs:
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(f"phi {cfg.within_share}: {exc}") from None
     rows = []
     with _pool(workers):
-        # Every phi is checked before the first system; the pool starts no worker before a job.
-        if not all(0 <= phi < 1 for phi in phis):
-            raise ValueError("phi values must lie in [0, 1)")
-        replace(config, within_share=0.0).validate()  # the fields other than phi
-        configs = [replace(config, within_share=float(phi)) for phi in phis]
-        for cfg in configs:
-            try:
-                cfg.validate()
-            except ValueError as exc:
-                raise ValueError(f"phi {cfg.within_share}: {exc}") from None
         for i, cfg in enumerate(configs):
             system = generate_demand_system(cfg, seed)
             for j, label in enumerate(strategies):

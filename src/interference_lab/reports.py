@@ -61,8 +61,7 @@ def write_coverage(path, report: CoverageReport) -> None:
 
 
 def write_partition(path, partition: Partition) -> None:
-    write_csv(path, PARTITION_HEADER,
-              [[i, int(c)] for i, c in enumerate(partition.cluster_of)])
+    write_csv(path, PARTITION_HEADER, enumerate(partition.cluster_of.tolist()))
 
 
 def read_partition(path) -> Partition:

@@ -389,6 +389,16 @@ class TestSessionsFile:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_undeclared_ids_with_gaps_are_all_articles(self, tmp_path):
+        clicks, out = tmp_path / "clicks.csv", tmp_path / "p.csv"
+        clicks.write_text("session_id,article_id\na,1\na,2\nb,2\nb,50000\n")
+        assert run(["cluster", "--sessions", clicks, "--out", out]) == 0
+        header, *rows = read_rows(out)
+        assert header == PARTITION_HEADER
+        # 1, 2 and 50000 form one cluster; every id nobody viewed is a cluster alone.
+        cluster = {0: 0, 1: 1, 2: 1, 50000: 1}
+        assert rows == [[str(i), str(cluster.get(i, i - 1))] for i in range(50001)]
+
     @pytest.mark.parametrize("command", [["cluster"], ["exposure", "--strategy", "article"]])
     def test_empty_file_is_one_error_line(self, tmp_path, capsys, command):
         clicks = tmp_path / "clicks.csv"
@@ -608,21 +618,22 @@ class TestWorkerPool:
         assert self._run(command, system_path, serial, workers=1) == 0
         assert pooled.read_bytes() == serial.read_bytes()
 
-    @pytest.mark.parametrize("command,message", [
+    @pytest.mark.parametrize("command,message,n_pools", [
         # Every session views one article, so each Louvain job raises in a worker.
         (FRONTIER + ["--views-min", "1", "--views-max", "1"],
-         "louvain requires a graph with positive total weight"),
+         "louvain requires a graph with positive total weight", 1),
         # The first gamma fails in this process while later Louvain jobs are pending.
-        (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite"),
-        (SWEEP[:4] + ["0.1,1.5"] + SWEEP[5:], "phi values must lie in [0, 1)"),
+        (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite", 1),
+        # The phis are checked before the pool is built.
+        (SWEEP[:4] + ["0.1,1.5"] + SWEEP[5:], "phi values must lie in [0, 1)", 0),
     ], ids=["frontier-job", "frontier-parent", "sweep"])
-    def test_failure_is_one_error_line_and_leaves_no_worker(self, system_path, tmp_path,
-                                                            capfd, pools, command, message):
+    def test_failure_is_one_error_line_and_leaves_no_worker(self, system_path, tmp_path, capfd,
+                                                            pools, command, message, n_pools):
         out = tmp_path / "o.csv"
         assert self._run(command, system_path, out) == 1
         err = capfd.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
-        assert len(pools) == 1
+        assert len(pools) == n_pools
         assert multiprocessing.active_children() == []
         assert not out.exists()
 

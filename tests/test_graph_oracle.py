@@ -196,20 +196,27 @@ sparse_session_lists = st.lists(st.frozensets(st.integers(0, N - 1), min_size=2,
     lambda vs: [Session(f"s{i}", v) for i, v in enumerate(vs)])
 
 
+# A 10-article clique and one co-viewed pair: m = 46, so the pair's articles
+# merge at gamma 50 (2 m > gamma) but not at gamma 200, on level 1.
+CLIQUE_AND_PAIR = [Session("clique", frozenset(range(30, 40))),
+                   Session("pair", frozenset({0, 1}))]
+# Padding the article space leaves most nodes without a neighbour.
+article_counts = st.sampled_from([N, 20 * N])
+
+
 @settings(max_examples=60, deadline=None)
 @given(sessions=sparse_session_lists, seed=st.integers(0, 2**16),
-       gamma=st.sampled_from([0.5, 1.0, 4.0]))
-def test_louvain_matches_dict_reference(sessions, seed, gamma):
-    g = build_graph(sessions, n=N)
+       gamma=st.sampled_from([0.5, 1.0, 4.0]), n=article_counts)
+# Level 2 holds the clique, the pair and the unviewed articles, none with a neighbour.
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gamma=1.0, n=N)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gamma=1.0, n=20 * N)
+def test_louvain_matches_dict_reference(sessions, seed, gamma, n):
+    g = build_graph(sessions, n=n)
     assume(g.total_weight > 0)
     np.testing.assert_array_equal(louvain(g, gamma, seed).cluster_of,
                                   reference_louvain(g, gamma, seed).cluster_of)
 
 
-# A 10-article clique and one co-viewed pair: m = 46, so the pair's articles
-# merge at gamma 50 (2 m > gamma) but not at gamma 200, on level 1.
-CLIQUE_AND_PAIR = [Session("clique", frozenset(range(30, 40))),
-                   Session("pair", frozenset({0, 1}))]
 # Duplicates, sets that agree through the last level, and sets that differ.
 gamma_sets = st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 50.0, 200.0]),
                       min_size=2, max_size=4).map(tuple)
@@ -224,13 +231,15 @@ def shared_partitions(graph, gammas, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sessions=sparse_session_lists, seed=st.integers(0, 2**16), gammas=gamma_sets)
-@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(50.0, 200.0))
-@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(200.0, 50.0, 200.0))
-@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(1.0, 1.0))
-@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(4.0, 16.0))
-def test_shared_levels_match_separate_louvain_calls(sessions, seed, gammas):
-    g = build_graph(sessions, n=N)
+@given(sessions=sparse_session_lists, seed=st.integers(0, 2**16), gammas=gamma_sets,
+       n=article_counts)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(50.0, 200.0), n=N)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(200.0, 50.0, 200.0), n=N)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(1.0, 1.0), n=N)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(4.0, 16.0), n=N)
+@example(sessions=CLIQUE_AND_PAIR, seed=3, gammas=(50.0, 200.0), n=20 * N)
+def test_shared_levels_match_separate_louvain_calls(sessions, seed, gammas, n):
+    g = build_graph(sessions, n=n)
     assume(g.total_weight > 0)
     for gamma, part in zip(gammas, shared_partitions(g, gammas, seed)):
         np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, seed).cluster_of)
