@@ -50,9 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for Monte-Carlo permutations and "
-                             "frontier's Louvain jobs (default: the CPUs this process "
-                             "may use)")
+                        help="worker processes for the Monte-Carlo draws, at most the "
+                             "CPUs this process may use (default: that many)")
     parser.add_argument("--out", type=Path, required=True)
 
 
@@ -201,10 +200,7 @@ def _resolve_workers(args) -> int:
         if args.workers < 1:
             raise RuntimeError("--workers must be >= 1")
         return args.workers
-    # The CPUs this process may run on, which taskset or a cgroup can narrow.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return experiment.usable_cpus()
 
 
 def _inputs(args) -> tuple[demand.DemandSystem | None, demand.Partition | None]:

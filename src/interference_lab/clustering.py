@@ -15,7 +15,7 @@ Weights are integer counts, so no move decision depends on summation order.
 Local moving never visits a node without a neighbour, which can only stay, and
 skips a node whose visit found no move until a community it read gains or
 loses a node; partitions are those of visiting every node. The levels stop at
-one that moves no node or leaves one community.
+one that moves no node, leaves one community or leaves no edge between two.
 
 Local moving takes a tuple of gammas and gives up at the first visit where
 their verdicts differ. ``frontier`` runs the levels its gammas share once,
@@ -41,13 +41,7 @@ from .clickstream import (  # noqa: F401
     exposure_share,
 )
 from .demand import DemandSystem, Metric, Partition, PricePolicy
-from .experiment import (
-    ClusterLevel,
-    _parallel_map,
-    _pool,
-    assign,
-    monte_carlo_bias,
-)
+from .experiment import ClusterLevel, _pool, assign, monte_carlo_bias
 
 GAIN_EPS = 1e-12
 DEFAULT_EXPOSURE_DRAWS = 32  # cluster-level assignments averaged per frontier gamma
@@ -111,8 +105,8 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     that finds no move marks the node stable until a community it read (its own
     or a neighbour's) gains or loses a node. A pass without a move leaves every
     node stable, so the RNG stream and every move are those of visiting every
-    node, except that a level whose edges are all self-loops runs no pass, not
-    one without a move; it is the last, so nothing draws after it.
+    node. A level whose edges are all self-loops would run no pass, not one
+    without a move, but ``_louvain`` stops before it builds one.
     """
     strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
     # CSR adjacency over both directions of every edge except self-loops
@@ -203,6 +197,8 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
             break
         k = labels.size
         lo, hi = np.minimum(comm[src], comm[dst]), np.maximum(comm[src], comm[dst])
+        if (lo == hi).all():  # no edge joins two communities, so no node could move
+            break
         pairs, pair_of = np.unique(lo * k + hi, return_inverse=True)
         src, dst, w = pairs // k, pairs % k, np.bincount(pair_of, w)
     # Split each cluster into its connected pieces: splitting pieces A and B
@@ -241,12 +237,10 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
-    One pool of ``workers`` processes serves the whole call. One Louvain job
-    runs the levels all gammas share, then one job per gamma the rest, so a
-    gamma's exposure draws (in this process) and Monte-Carlo draws (in the
-    pool) run while later gammas' Louvain jobs still run.
-    Each job is a pure function of its arguments, so the rows are the same
-    for any worker count.
+    Louvain runs in this process: the levels all gammas share once, then each
+    gamma alone from the first level where their moves differ. One pool of
+    ``workers`` processes runs the Monte-Carlo draws of every gamma; each draw
+    is seeded by its index, so the rows are the same for any worker count.
 
     With the generator's per-article heterogeneity, ``relative_sd`` does not
     rise as gamma falls: partitions that keep true clusters whole spread
@@ -270,11 +264,10 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
     graph = _graph(indptr, article, system.n)
     points = []
     with _pool(workers):
-        # One job runs the levels all gammas share, then one job per gamma the rest;
-        # each gamma's Monte-Carlo chunks queue behind the Louvain jobs still running.
-        ((shared, state),) = _parallel_map(_louvain, [(graph, tuple(g for _, g in order), seed)])
-        parts = [shared] * len(order) if state is None else (part for part, _ in _parallel_map(
-            _louvain, [(graph, (gamma,), seed, state) for _, gamma in order]))
+        # The levels run here, before the first Monte-Carlo chunk starts the workers.
+        shared, state = _louvain(graph, tuple(g for _, g in order), seed)
+        parts = [shared if state is None else _louvain(graph, (gamma,), seed, state)[0]
+                 for _, gamma in order]
         for (idx, gamma), part in zip(order, parts):
             q = modularity(graph, part, gamma)
             k = part.n_clusters

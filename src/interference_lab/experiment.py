@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextvars
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -201,10 +202,24 @@ def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple
 _active_pool: contextvars.ContextVar = contextvars.ContextVar("_active_pool", default=None)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset or a cgroup can narrow."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_worker() -> None:
+    # A forked worker inherits its parent's pool; it must not send jobs to it.
+    _active_pool.set(None)
+
+
 @contextmanager
 def _pool(workers: int):
-    """Run the block with one pool of ``workers`` processes for every ``_parallel_map``.
+    """Run the block with one pool of processes for every ``_parallel_map``.
 
+    The pool has ``workers`` processes, at most ``usable_cpus()``; under the
+    fork start method they start at the first job, all at once.
     Re-entrant: a block inside another reuses the outer block's pool, so
     each outermost call (``monte_carlo_bias``, ``coverage_analysis``,
     ``sweep_substitution``, ``frontier``) starts its workers at most once.
@@ -215,7 +230,8 @@ def _pool(workers: int):
     if workers <= 1 or _active_pool.get() is not None:
         yield
         return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, usable_cpus()),
+                                                  initializer=_start_worker)
     token = _active_pool.set(pool)
     try:
         yield
@@ -224,18 +240,12 @@ def _pool(workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _parallel_map(fn, jobs):
-    """``fn(*job)`` for each job, in order.
-
-    While a ``_pool`` block holds a pool, every job is sent to it at once and
-    the result is ``pool.map``'s lazy iterator, so the caller can use the
-    first results while later jobs still run. Otherwise the jobs run here and
-    the result is a list.
-    """
+def _parallel_map(fn, jobs) -> list:
+    """``fn(*job)`` for each job, in order, in the pool of the open ``_pool`` block if any."""
     pool = _active_pool.get()
     if pool is None:
         return [fn(*job) for job in jobs]
-    return pool.map(fn, *zip(*jobs))
+    return list(pool.map(fn, *zip(*jobs)))
 
 
 def _map_draws(system, strategy, metric, master, experiments, p: int,

@@ -618,11 +618,18 @@ class TestWorkerPool:
         assert self._run(command, system_path, serial, workers=1) == 0
         assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_pool_size_is_capped_at_the_cpus_this_process_may_use(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with cli.experiment._pool(10**6):
+            pass
+        assert [pool._max_workers for pool in pools] == [2]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command,message,n_pools", [
-        # Every session views one article, so each Louvain job raises in a worker.
+        # Every session views one article, so Louvain raises here before any worker starts.
         (FRONTIER + ["--views-min", "1", "--views-max", "1"],
          "louvain requires a graph with positive total weight", 1),
-        # The first gamma fails in this process while later Louvain jobs are pending.
+        # The first gamma fails in this process, after the pool is built.
         (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite", 1),
         # The phis are checked before the pool is built.
         (SWEEP[:4] + ["0.1,1.5"] + SWEEP[5:], "phi values must lie in [0, 1)", 0),

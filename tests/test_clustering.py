@@ -1,6 +1,8 @@
 """Tests for modularity, the greedy optimizer, and the resolution frontier."""
 
 import itertools
+import multiprocessing
+import os
 from dataclasses import astuple
 
 import numpy as np
@@ -19,6 +21,7 @@ from interference_lab import (
     louvain,
     modularity,
 )
+from interference_lab import clustering
 from interference_lab.clustering import _louvain
 
 
@@ -152,6 +155,20 @@ class TestLouvain:
         with pytest.raises(ValueError):
             louvain(SessionGraph(n=3, edges={}))
 
+    def test_stops_at_a_level_with_no_edge_between_communities(self, monkeypatch):
+        # Level 1 merges the triangle and the pair; the level it would aggregate
+        # to has no edge between two nodes, so local moving runs once.
+        sizes = []
+        local_move = clustering._local_move
+        monkeypatch.setattr(clustering, "_local_move",
+                            lambda *a: sizes.append(a[3]) or local_move(*a))
+        graph = SessionGraph(n=200, edges={(0, 1): 1, (1, 2): 1, (0, 2): 1, (150, 199): 2})
+        part = louvain(graph, gamma=1.0, seed=3)
+        assert sizes == [200]
+        labels = np.arange(200)
+        labels[[1, 2]], labels[199] = 0, 150
+        np.testing.assert_array_equal(part.cluster_of, Partition.from_labels(labels).cluster_of)
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         graph = two_triangles()
@@ -239,10 +256,27 @@ class TestFrontier:
         np.testing.assert_equal(rows[2], rows[1])
         np.testing.assert_equal(rows[3], rows[1])
 
+    def test_louvain_runs_here_before_any_worker_starts(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append((os.getpid(), multiprocessing.active_children()))
+            return _louvain(*args)
+
+        monkeypatch.setattr(clustering, "_louvain", spy)
+        cfg = GeneratorConfig(n=60, cluster_size_min=4, cluster_size_max=8,
+                              within_share=0.3, background_share=0.05)
+        system = generate_demand_system(cfg, seed=51)
+        sessions = generate_sessions(system.partition, 1500, 2, 4, purity=0.9, seed=52)
+        # The gammas split at level 1: one shared call, then one per gamma.
+        frontier(system, sessions, gammas=[50.0, 10.0], policy=PricePolicy(0.9),
+                 metric=Metric.UNITS, p=10, seed=53, workers=2, exposure_draws=4)
+        assert calls == [(os.getpid(), [])] * 3
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
     def test_rejects_a_bad_gamma_before_any_work(self, gamma, monkeypatch):
-        monkeypatch.setattr("interference_lab.clustering._parallel_map",
-                            lambda *a: pytest.fail("pool job started"))
+        monkeypatch.setattr("interference_lab.clustering._louvain",
+                            lambda *a: pytest.fail("Louvain started"))
         cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4)
         system = generate_demand_system(cfg, seed=41)
         sessions = generate_sessions(system.partition, 100, 2, 4, purity=0.5, seed=42)

@@ -23,7 +23,10 @@ from interference_lab import (
     run_experiment,
     sweep_substitution,
 )
+from interference_lab import experiment
 from interference_lab.experiment import (
+    _parallel_map,
+    _pool,
     mc_standard_error,
     nearest_rank_quantile,
 )
@@ -197,6 +200,16 @@ def small_system():
 def clean_system():
     cfg = GeneratorConfig(n=300, within_share=0.0, background_share=0.0)
     return generate_demand_system(cfg, seed=23)
+
+
+def _has_no_pool(_):
+    return experiment._active_pool.get() is None
+
+
+class TestPool:
+    def test_workers_start_without_a_pool(self):
+        with _pool(2):
+            assert _parallel_map(_has_no_pool, [(0,), (1,)]) == [True, True]
 
 
 class TestMonteCarloBias:
