@@ -12,8 +12,8 @@ The structured representation (own vector, per-cluster beta, scalar
 background) evaluates in O(n); ``dense_oracle`` materializes E and serves as
 a brute-force cross-check. Every other module imports this one, so it also
 holds their file helpers: ``read_json`` and ``csv_records`` read every JSON
-and CSV input, ``write_csv`` writes every CSV output (floats at 17
-significant digits), and ``atomic_write`` replaces each output whole.
+and CSV input, ``write_csv`` writes every CSV output (rows as given; ``reports``
+spells its floats first), and ``atomic_write`` replaces each output whole.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 DENSE_ORACLE_MAX_N = 2000
-_PLAIN = frozenset({str, int})  # values the csv module spells as ``fmt`` does
 
 
 @contextmanager
@@ -86,19 +85,12 @@ def read_json(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header``, then each row of the iterable ``rows`` through ``fmt``, to ``path``."""
+    """Write ``header``, then each row of the iterable ``rows`` as the csv module spells it."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    # Rows of plain values skip fmt, so a large clickstream file costs what the csv module does.
-    writer.writerows(row if _PLAIN.issuperset(map(type, row)) else map(fmt, row) for row in rows)
+    writer.writerows(rows)
     text = buffer.getvalue()
     # The writer quotes a value holding "\n" but not "\r", which readers take for a line end.
     if "\r" in text:

@@ -74,10 +74,6 @@ class Assignment:
 @dataclass(frozen=True)
 class Estimate:
     lift: float
-    treated_outcome: float
-    control_outcome: float
-    treated_base: float
-    control_base: float
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     treated_base = float(bases[it].sum())
     control_base = float(bases[ic].sum())
     lift = (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
-    return Estimate(lift, treated_outcome, control_outcome, treated_base, control_base)
+    return Estimate(lift)
 
 
 def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple]:
@@ -253,7 +249,8 @@ def _map_draws(system, strategy, metric, master, experiments, p: int,
     """Lifts of draws 0..p-1 of each experiment, one row per experiment."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    chunks = np.array_split(np.arange(p), max(1, min(workers * 4, p)))
+    # Four chunks per process of the pool, which ``_pool`` caps at ``usable_cpus()``.
+    chunks = np.array_split(np.arange(p), max(1, min(4 * min(workers, usable_cpus()), p)))
     jobs = [(system, strategy, metric, master, experiments, ks) for ks in chunks]
     with _pool(workers):
         lifts = np.asarray([x for part in _parallel_map(_draw_chunk, jobs) for x in part])

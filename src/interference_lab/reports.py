@@ -1,15 +1,15 @@
 """CSV serialization of report objects.
 
-Every report goes through ``demand.write_csv``, which writes floats with 17
-significant digits so that outputs round-trip exactly and are byte-stable
-across runs and worker counts.
+Every report goes through ``demand.write_csv``. The float reports spell each
+value through ``fmt``, which writes floats with 17 significant digits so that
+outputs round-trip exactly and are byte-stable across runs and worker counts.
 """
 
 from __future__ import annotations
 
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
-from .demand import Partition, csv_records, fmt, write_csv  # noqa: F401  (fmt is re-exported)
+from .demand import Partition, csv_records, write_csv
 from .experiment import BiasReport, CoverageReport, SweepRow
 from .metaexp import MetaComparison, MetaExperimentInput
 
@@ -26,6 +26,16 @@ META_HEADER = ["label", "est_clustered", "ci_halfwidth", "est_article",
                "relative_bias", "sigma_distance"]
 
 
+def fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _write_report(path, header: list[str], rows) -> None:
+    write_csv(path, header, (map(fmt, row) for row in rows))
+
+
 def _bias_row(phi, strategy: str, r: BiasReport) -> list:
     return [phi, strategy, r.gte, r.mean_estimate, r.mean_bias, r.sd_estimate,
             r.relative_sd, r.q05, r.q50, r.q95, r.p, r.seed]
@@ -33,31 +43,29 @@ def _bias_row(phi, strategy: str, r: BiasReport) -> list:
 
 def write_bias_report(path, report: BiasReport, strategy: str,
                       phi: float | None = None) -> None:
-    write_csv(path, BIAS_HEADER,
-              [_bias_row("" if phi is None else phi, strategy, report)])
+    _write_report(path, BIAS_HEADER, [_bias_row("" if phi is None else phi, strategy, report)])
 
 
 def write_sweep(path, rows: list[SweepRow]) -> None:
-    write_csv(path, BIAS_HEADER,
-              [_bias_row(r.phi, r.strategy, r.report) for r in rows])
+    _write_report(path, BIAS_HEADER, [_bias_row(r.phi, r.strategy, r.report) for r in rows])
 
 
 def write_exposure(path, report: ExposureReport) -> None:
-    write_csv(path, EXPOSURE_HEADER,
-              [[report.share_both, report.share_treated_only,
-                report.share_control_only, report.session_count]])
+    _write_report(path, EXPOSURE_HEADER,
+                  [[report.share_both, report.share_treated_only,
+                    report.share_control_only, report.session_count]])
 
 
 def write_frontier(path, points: list[FrontierPoint]) -> None:
-    write_csv(path, FRONTIER_HEADER,
-              [[pt.resolution, pt.n_clusters, pt.avg_cluster_size, pt.modularity,
-                pt.share_both, pt.mean_bias, pt.relative_sd] for pt in points])
+    _write_report(path, FRONTIER_HEADER,
+                  [[pt.resolution, pt.n_clusters, pt.avg_cluster_size, pt.modularity,
+                    pt.share_both, pt.mean_bias, pt.relative_sd] for pt in points])
 
 
 def write_coverage(path, report: CoverageReport) -> None:
-    write_csv(path, COVERAGE_HEADER,
-              [[report.aa_sd, report.coverage_rate, report.mean_z, report.gte,
-                report.p, report.seed, report.noise_sigma]])
+    _write_report(path, COVERAGE_HEADER,
+                  [[report.aa_sd, report.coverage_rate, report.mean_z, report.gte,
+                    report.p, report.seed, report.noise_sigma]])
 
 
 def write_partition(path, partition: Partition) -> None:
@@ -82,6 +90,6 @@ def read_partition(path) -> Partition:
 
 
 def write_meta(path, rows: list[tuple[MetaExperimentInput, MetaComparison]]) -> None:
-    write_csv(path, META_HEADER,
-              [[inp.label, inp.est_clustered, inp.ci_halfwidth, inp.est_article,
-                cmp.relative_bias, cmp.sigma_distance] for inp, cmp in rows])
+    _write_report(path, META_HEADER,
+                  [[inp.label, inp.est_clustered, inp.ci_halfwidth, inp.est_article,
+                    cmp.relative_bias, cmp.sigma_distance] for inp, cmp in rows])

@@ -53,7 +53,7 @@ def reference_run_experiment(system, assignment, policy, metric, noise=None):
     treated_base = float(bases[t].sum())
     control_base = float(bases[~t].sum())
     lift = (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
-    return Estimate(lift, treated_outcome, control_outcome, treated_base, control_base)
+    return Estimate(lift)
 
 
 def reference_estimate_chunk(system, strategy, policy, metric, master, ks):

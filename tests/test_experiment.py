@@ -1,6 +1,7 @@
 """Tests for randomization, the lift estimator, and Monte-Carlo bias."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -136,8 +137,7 @@ class TestEstimator:
         clean = run_experiment(system, a, pol, Metric.UNITS)
         noisy = run_experiment(system, a, pol, Metric.UNITS,
                                noise=np.array([2.0, 1.0]))
-        assert noisy.treated_outcome == pytest.approx(2 * clean.treated_outcome)
-        assert noisy.treated_base == clean.treated_base
+        assert 1 + noisy.lift == pytest.approx(2 * (1 + clean.lift), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,6 +219,20 @@ class TestMonteCarloBias:
         serial = monte_carlo_bias(small_system, ArticleLevel(), workers=1, **kwargs)
         parallel = monte_carlo_bias(small_system, ArticleLevel(), workers=8, **kwargs)
         assert serial == parallel
+
+    def test_chunks_for_the_pool_it_gets(self, small_system, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sent = []
+
+        def counting_map(fn, jobs):
+            sent.extend(jobs)
+            return _parallel_map(fn, jobs)
+
+        monkeypatch.setattr("interference_lab.experiment._parallel_map", counting_map)
+        kwargs = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=40, master_seed=99)
+        pooled = monte_carlo_bias(small_system, ArticleLevel(), workers=8, **kwargs)
+        assert len(sent) == 8  # four per process of the 2-worker pool, not 4 * 8
+        assert pooled == monte_carlo_bias(small_system, ArticleLevel(), workers=1, **kwargs)
 
     def test_report_quantiles_ordered(self, small_system):
         r = monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(0.95),

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from interference_lab import Partition
+from interference_lab.clickstream import ExposureReport
+from interference_lab.clustering import FrontierPoint
+from interference_lab.experiment import BiasReport, CoverageReport, SweepRow
+from interference_lab.metaexp import MetaComparison, MetaExperimentInput
 from interference_lab.reports import (
     BIAS_HEADER,
     COVERAGE_HEADER,
@@ -15,8 +19,14 @@ from interference_lab.reports import (
     PARTITION_HEADER,
     fmt,
     read_partition,
+    write_bias_report,
+    write_coverage,
     write_csv,
+    write_exposure,
+    write_frontier,
+    write_meta,
     write_partition,
+    write_sweep,
 )
 
 
@@ -61,6 +71,54 @@ class TestWriteCsv:
         write_csv(p1, ["v", "s"], rows)
         write_csv(p2, ["v", "s"], rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+NAN = float("nan")
+REPORT = BiasReport(gte=0.1, mean_estimate=1 / 3, mean_bias=-2.0, sd_estimate=1e-300,
+                    relative_sd=1e22, q05=-0.0, q50=0.5, q95=123456.789, p=40, seed=7)
+BIAS_HEAD = "phi,strategy,gte,mean_estimate,mean_bias,sd_estimate,relative_sd,q05,q50,q95,p,seed\n"
+BIAS_TAIL = "0.10000000000000001,0.33333333333333331,-2,1e-300,1e+22,-0,0.5,123456.789,40,7\n"
+
+
+class TestGoldenBytes:
+    """Each writer's exact bytes: floats at 17 significant digits, everything else verbatim."""
+
+    @pytest.mark.parametrize("write,expected", [
+        (lambda path: write_bias_report(path, REPORT, "article"),
+         BIAS_HEAD + ",article," + BIAS_TAIL),
+        (lambda path: write_bias_report(path, REPORT, "cluster", phi=0.3),
+         BIAS_HEAD + "0.29999999999999999,cluster," + BIAS_TAIL),
+        (lambda path: write_sweep(path, [SweepRow(0.0, "article", REPORT),
+                                         SweepRow(0.7, "cluster", REPORT)]),
+         BIAS_HEAD + "0,article," + BIAS_TAIL + "0.69999999999999996,cluster," + BIAS_TAIL),
+        (lambda path: write_exposure(path, ExposureReport(0.1, 0.6, 0.30000000000000004, 12)),
+         "share_both,share_treated_only,share_control_only,session_count\n"
+         "0.10000000000000001,0.59999999999999998,0.30000000000000004,12\n"),
+        (lambda path: write_frontier(path, [
+            FrontierPoint(0.5, 3, 40 / 3, 0.25, 0.1, 0.02, 0.05, 0.7),
+            FrontierPoint(4.0, 1, 40.0, 0.0, 1.0, 0.0, NAN, NAN, defined=False)]),
+         "gamma,n_clusters,avg_cluster_size,modularity,share_both,mean_bias,relative_sd\n"
+         "0.5,3,13.333333333333334,0.25,0.10000000000000001,0.050000000000000003,"
+         "0.69999999999999996\n4,1,40,0,1,nan,nan\n"),
+        (lambda path: write_coverage(path, CoverageReport(0.0, NAN, NAN, 0.1, 20, 4, 0.0,
+                                                          defined=False)),
+         "aa_sd,coverage_rate,mean_z,gte,p,seed,noise_sigma\n"
+         "0,nan,nan,0.10000000000000001,20,4,0\n"),
+        (lambda path: write_meta(path, [(MetaExperimentInput('wk 3, "promo"', 0.02, 0.01, 0.03),
+                                         MetaComparison(0.5, 1.96))]),
+         "label,est_clustered,ci_halfwidth,est_article,relative_bias,sigma_distance\n"
+         '"wk 3, ""promo""",0.02,0.01,0.029999999999999999,0.5,1.96\n'),
+        (lambda path: write_partition(path, Partition(np.array([0, 0, 1, 2, 2]))),
+         "article_id,cluster_id\n0,0\n1,0\n2,1\n3,2\n4,2\n"),
+        (lambda path: write_csv(path, ["s", "i", "j"], [["s,1", 3, np.int64(5)],
+                                                       ["t", -2, np.int64(2**62)]]),
+         's,i,j\n"s,1",3,5\nt,-2,4611686018427387904\n'),
+    ], ids=["bias", "bias-phi", "sweep", "exposure", "frontier-nan", "coverage-undefined",
+            "meta", "partition", "plain-values"])
+    def test_writer_bytes(self, tmp_path, write, expected):
+        path = tmp_path / "out.csv"
+        write(path)
+        assert path.read_bytes() == expected.encode()
 
 
 def test_headers_are_fixed_contracts():
