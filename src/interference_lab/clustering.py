@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .clickstream import (  # noqa: F401
     exposure_share,
 )
 from .demand import DemandSystem, Metric, Partition, PricePolicy
-from .experiment import ClusterLevel, _pool, assign, monte_carlo_bias
+from .experiment import ClusterLevel, _bias_reports, _check_p, assign
 
 GAIN_EPS = 1e-12
 DEFAULT_EXPOSURE_DRAWS = 32  # cluster-level assignments averaged per frontier gamma
@@ -238,9 +238,10 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
     Louvain runs in this process: the levels all gammas share once, then each
-    gamma alone from the first level where their moves differ. One pool of
-    ``workers`` processes runs the Monte-Carlo draws of every gamma; each draw
-    is seeded by its index, so the rows are the same for any worker count.
+    gamma alone from the first level where their moves differ. Then one map over
+    ``workers`` processes runs the Monte-Carlo draws of every gamma with >= 2
+    clusters; each draw is seeded by its index, so the rows are the same for
+    any worker count.
 
     With the generator's per-article heterogeneity, ``relative_sd`` does not
     rise as gamma falls: partitions that keep true clusters whole spread
@@ -258,35 +259,32 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
     """``frontier`` on the CSR sessions (``indptr``, ``article``)."""
     if exposure_draws < 1:
         raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")
+    _check_p(p)
     order = sorted(enumerate(gammas), key=lambda t: t[1])
     for _, gamma in order:
         _check_gamma(gamma)
     graph = _graph(indptr, article, system.n)
-    points = []
-    with _pool(workers):
-        # The levels run here, before the first Monte-Carlo chunk starts the workers.
-        shared, state = _louvain(graph, tuple(g for _, g in order), seed)
-        parts = [shared if state is None else _louvain(graph, (gamma,), seed, state)[0]
-                 for _, gamma in order]
-        for (idx, gamma), part in zip(order, parts):
-            q = modularity(graph, part, gamma)
-            k = part.n_clusters
-            share_both = share_both_sd = mean_bias = relative_sd = float("nan")
-            if k >= 2:
-                strategy = ClusterLevel(part)
-                shares = []
-                for d in range(exposure_draws):
-                    rng = np.random.default_rng([seed, idx, 1, d])
-                    treated = assign(strategy, system.n, rng).treated
-                    shares.append(_exposure(indptr, article, treated).share_both)
-                shares = np.asarray(shares)
-                report = monte_carlo_bias(system, strategy, policy, metric, p,
-                                          master_seed=[seed, idx, 2], workers=workers)
-                share_both = float(shares.mean())
-                share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
-                mean_bias, relative_sd = report.mean_bias, report.relative_sd
-            points.append(FrontierPoint(
-                resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
-                modularity=q, share_both=share_both, share_both_sd=share_both_sd,
-                mean_bias=mean_bias, relative_sd=relative_sd, defined=k >= 2))
+    shared, state = _louvain(graph, tuple(g for _, g in order), seed)
+    parts = [shared if state is None else _louvain(graph, (gamma,), seed, state)[0]
+             for _, gamma in order]
+    points, runs = [], []
+    for (idx, gamma), part in zip(order, parts):
+        k = part.n_clusters
+        share_both = share_both_sd = float("nan")
+        if k >= 2:
+            strategy = ClusterLevel(part)
+            treated = (assign(strategy, system.n, np.random.default_rng([seed, idx, 1, d])).treated
+                       for d in range(exposure_draws))
+            shares = np.asarray([_exposure(indptr, article, t).share_both for t in treated])
+            share_both = float(shares.mean())
+            share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
+            runs.append((system, strategy, [seed, idx, 2]))
+        points.append(FrontierPoint(
+            resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
+            modularity=modularity(graph, part, gamma), share_both=share_both,
+            share_both_sd=share_both_sd, mean_bias=float("nan"), relative_sd=float("nan"),
+            defined=k >= 2))
+    defined = [i for i, point in enumerate(points) if point.defined]
+    for i, report in zip(defined, _bias_reports(runs, policy, metric, p, workers)):
+        points[i] = replace(points[i], mean_bias=report.mean_bias, relative_sd=report.relative_sd)
     return points

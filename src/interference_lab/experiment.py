@@ -11,10 +11,8 @@ mechanism of naive A/A-calibrated intervals.
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,10 +192,6 @@ def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple
     return out
 
 
-# The process pool of the outermost ``_pool`` block open in this thread, if any.
-_active_pool: contextvars.ContextVar = contextvars.ContextVar("_active_pool", default=None)
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on, which taskset or a cgroup can narrow."""
     if hasattr(os, "sched_getaffinity"):
@@ -205,61 +199,48 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _start_worker() -> None:
-    # A forked worker inherits its parent's pool; it must not send jobs to it.
-    _active_pool.set(None)
+def _parallel_map(fn, jobs, workers: int) -> list:
+    """``fn(*job)`` for each job, in order, on a pool of ``workers`` processes.
 
-
-@contextmanager
-def _pool(workers: int):
-    """Run the block with one pool of processes for every ``_parallel_map``.
-
-    The pool has ``workers`` processes, at most ``usable_cpus()``; under the
-    fork start method they start at the first job, all at once.
-    Re-entrant: a block inside another reuses the outer block's pool, so
-    each outermost call (``monte_carlo_bias``, ``coverage_analysis``,
-    ``sweep_substitution``, ``frontier``) starts its workers at most once.
-    With ``workers`` <= 1 no pool is opened. When the outermost block exits,
-    normally or by an exception, pending jobs are cancelled and the workers
-    are joined, so no worker process outlives it.
+    The pool has at most ``usable_cpus()`` processes, which start at the first
+    job under the fork start method; with ``workers`` <= 1, or no jobs, there
+    is no pool. Each command makes at most one call, so it starts at most one
+    pool. When the call returns or raises, pending jobs are cancelled and no
+    worker outlives it.
     """
-    if workers <= 1 or _active_pool.get() is not None:
-        yield
-        return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, usable_cpus()),
-                                                  initializer=_start_worker)
-    token = _active_pool.set(pool)
+    if workers <= 1 or not jobs:
+        return [fn(*job) for job in jobs]
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, usable_cpus()))
     try:
-        yield
+        return list(pool.map(fn, *zip(*jobs)))
     finally:
-        _active_pool.reset(token)
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _parallel_map(fn, jobs) -> list:
-    """``fn(*job)`` for each job, in order, in the pool of the open ``_pool`` block if any."""
-    pool = _active_pool.get()
-    if pool is None:
-        return [fn(*job) for job in jobs]
-    return list(pool.map(fn, *zip(*jobs)))
-
-
-def _map_draws(system, strategy, metric, master, experiments, p: int,
-               workers: int) -> np.ndarray:
-    """Lifts of draws 0..p-1 of each experiment, one row per experiment."""
+def _check_p(p: int) -> None:
     if p < 2:
         raise ValueError("p must be >= 2")
-    # Four chunks per process of the pool, which ``_pool`` caps at ``usable_cpus()``.
+
+
+def _map_draws(tasks: list[tuple], p: int, workers: int) -> list[np.ndarray]:
+    """Lifts of draws 0..p-1 of each task, one row per experiment of the task.
+
+    A task is ``(system, strategy, metric, master, experiments)``, as
+    ``_draw_chunk`` takes it; the chunks of every task go to one ``_parallel_map``.
+    """
+    _check_p(p)
+    # Four chunks per process of the pool, which ``_parallel_map`` caps at ``usable_cpus()``.
     chunks = np.array_split(np.arange(p), max(1, min(4 * min(workers, usable_cpus()), p)))
-    jobs = [(system, strategy, metric, master, experiments, ks) for ks in chunks]
-    with _pool(workers):
-        lifts = np.asarray([x for part in _parallel_map(_draw_chunk, jobs) for x in part])
-    if not np.isfinite(lifts).all():
-        cause = ("the policy or noise_sigma is" if any(sigma for _, _, sigma in experiments)
-                 else "the policy is")
-        raise ValueError(f"an experiment estimate is not finite: {cause} out of "
-                         "floating-point range for this system")
-    return lifts.T
+    parts = iter(_parallel_map(_draw_chunk, [(*task, ks) for task in tasks for ks in chunks],
+                               workers))
+    out = [np.asarray([x for _ in chunks for x in next(parts)]).T for _ in tasks]
+    for lifts, (*_, experiments) in zip(out, tasks):
+        if not np.isfinite(lifts).all():
+            cause = ("the policy or noise_sigma is" if any(sigma for _, _, sigma in experiments)
+                     else "the policy is")
+            raise ValueError(f"an experiment estimate is not finite: {cause} out of "
+                             "floating-point range for this system")
+    return out
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -292,6 +273,18 @@ def _bias_report(estimates: np.ndarray, gte: float, seed: int) -> BiasReport:
     )
 
 
+def _bias_reports(runs, policy: PricePolicy, metric: Metric, p: int,
+                  workers: int) -> list[BiasReport]:
+    """One BiasReport per ``(system, strategy, master_seed)`` run, from one ``_map_draws``."""
+    gtes = [global_treatment_effect(system, policy, metric) for system, _, _ in runs]
+    # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
+    masters = [[int(s) for s in np.array(master, dtype=object, ndmin=1)] for *_, master in runs]
+    tasks = [(system, strategy, metric, master, [(policy, None, None)])
+             for (system, strategy, _), master in zip(runs, masters)]
+    return [_bias_report(estimates, gte, master[0]) for (estimates,), gte, master
+            in zip(_map_draws(tasks, p, workers), gtes, masters)]
+
+
 def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
                      policy: PricePolicy, metric: Metric, p: int, master_seed,
                      workers: int = 1) -> BiasReport:
@@ -300,12 +293,7 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     Permutation k draws its RNG from (master_seed, k), so the result is
     bit-identical for any worker count.
     """
-    gte = global_treatment_effect(system, policy, metric)
-    # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
-    master = [int(s) for s in np.array(master_seed, dtype=object, ndmin=1)]
-    (estimates,) = _map_draws(system, strategy, metric, master, [(policy, None, None)],
-                              p, workers)
-    return _bias_report(estimates, gte, master[0])
+    return _bias_reports([(system, strategy, master_seed)], policy, metric, p, workers)[0]
 
 
 def mc_standard_error(report: BiasReport) -> float:
@@ -319,9 +307,10 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
     """One BiasReport per (phi, strategy); a fresh system per phi.
 
     ``strategies`` holds the labels "article" and "cluster"; "cluster" uses
-    the fresh system's ground-truth partition. An unknown label, or a phi outside
-    [0, 1) or with an invalid config, is rejected before any work. Rows come out in
-    (phi, strategy) order, and all of them share one pool of ``workers`` processes.
+    the fresh system's ground-truth partition. An unknown label, a phi outside
+    [0, 1) or with an invalid config, or p < 2 is rejected before any work.
+    Rows come out in (phi, strategy) order; the draws of every row go to one
+    map over ``workers`` processes.
     """
     for label in strategies:
         if label not in ("article", "cluster"):
@@ -335,16 +324,14 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
             cfg.validate()
         except ValueError as exc:
             raise ValueError(f"phi {cfg.within_share}: {exc}") from None
-    rows = []
-    with _pool(workers):
-        for i, cfg in enumerate(configs):
-            system = generate_demand_system(cfg, seed)
-            for j, label in enumerate(strategies):
-                strat = ArticleLevel() if label == "article" else ClusterLevel(system.partition)
-                report = monte_carlo_bias(system, strat, policy, metric, p,
-                                          master_seed=[seed, i, j], workers=workers)
-                rows.append(SweepRow(phi=cfg.within_share, strategy=label, report=report))
-    return rows
+    _check_p(p)
+    systems = [generate_demand_system(cfg, seed) for cfg in configs]
+    runs = [(system, ArticleLevel() if label == "article" else ClusterLevel(system.partition),
+             [seed, i, j]) for i, system in enumerate(systems)
+            for j, label in enumerate(strategies)]
+    reports = iter(_bias_reports(runs, policy, metric, p, workers))
+    return [SweepRow(phi=cfg.within_share, strategy=label, report=next(reports))
+            for cfg in configs for label in strategies]
 
 
 def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
@@ -363,7 +350,7 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
         raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
     runs = [(PricePolicy(1.0), 0, noise_sigma), (policy, 2, noise_sigma)]
-    aa, treated = _map_draws(system, strategy, metric, [seed], runs, p, workers)
+    [(aa, treated)] = _map_draws([(system, strategy, metric, [seed], runs)], p, workers)
     aa_sd = float(aa.std(ddof=1))
     defined = aa_sd != 0.0
     coverage_rate = mean_z = float("nan")

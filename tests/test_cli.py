@@ -618,19 +618,36 @@ class TestWorkerPool:
         assert self._run(command, system_path, serial, workers=1) == 0
         assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("command,n_pools", [
+        (FRONTIER, 1), (SWEEP, 1),
+        # Every gamma leaves one cluster, so there is no draw to run and no pool to build.
+        (FRONTIER[:4] + ["1e-9,2e-9"] + FRONTIER[5:], 0),
+    ], ids=["frontier", "sweep", "frontier-without-draws"])
+    def test_all_draws_go_to_one_map(self, system_path, tmp_path, monkeypatch, pools, command,
+                                     n_pools):
+        calls, parallel_map = [], cli.experiment._parallel_map
+
+        def counting_map(fn, jobs, workers):
+            calls.append(len(jobs))
+            return parallel_map(fn, jobs, workers)
+
+        monkeypatch.setattr(cli.experiment, "_parallel_map", counting_map)
+        assert self._run(command, system_path, tmp_path / "o.csv") == 0
+        assert len(calls) == 1 and len(pools) == n_pools
+        assert multiprocessing.active_children() == []
+
     def test_pool_size_is_capped_at_the_cpus_this_process_may_use(self, monkeypatch, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with cli.experiment._pool(10**6):
-            pass
+        cli.experiment._parallel_map(abs, [(-1,)], 10**6)
         assert [pool._max_workers for pool in pools] == [2]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command,message,n_pools", [
-        # Every session views one article, so Louvain raises here before any worker starts.
+        # Every session views one article, so Louvain raises here before the pool is built.
         (FRONTIER + ["--views-min", "1", "--views-max", "1"],
-         "louvain requires a graph with positive total weight", 1),
-        # The first gamma fails in this process, after the pool is built.
-        (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite", 1),
+         "louvain requires a graph with positive total weight", 0),
+        # The first gamma fails in this process, before the pool is built.
+        (FRONTIER + ["--multiplier", "1e-300"], "the global treatment effect is not finite", 0),
         # The phis are checked before the pool is built.
         (SWEEP[:4] + ["0.1,1.5"] + SWEEP[5:], "phi values must lie in [0, 1)", 0),
     ], ids=["frontier-job", "frontier-parent", "sweep"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from interference_lab import (
+    ClusterLevel,
     GeneratorConfig,
     Metric,
     Partition,
@@ -20,6 +21,7 @@ from interference_lab import (
     generate_sessions,
     louvain,
     modularity,
+    monte_carlo_bias,
 )
 from interference_lab import clustering
 from interference_lab.clustering import _louvain
@@ -235,6 +237,24 @@ class TestFrontier:
         np.testing.assert_equal(rows[2], rows[1])
         np.testing.assert_equal(rows[3], rows[1])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_defined_row_is_its_own_monte_carlo_bias(self, workers):
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4,
+                              within_share=0.3, background_share=0.05)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 800, 2, 4, purity=0.5, seed=42)
+        graph = build_graph(sessions, n=system.n)
+        gammas, policy, metric, p, seed = [4.0, 1e-6, 1.5], PricePolicy(0.9), Metric.UNITS, 10, 43
+        rows = {pt.resolution: pt for pt in frontier(system, sessions, gammas, policy, metric,
+                                                     p, seed, workers=workers, exposure_draws=4)}
+        assert [rows[gamma].defined for gamma in gammas] == [True, False, True]
+        for idx, gamma in enumerate(gammas):
+            if rows[gamma].defined:
+                strategy = ClusterLevel(louvain(graph, gamma, seed))
+                report = monte_carlo_bias(system, strategy, policy, metric, p, [seed, idx, 2])
+                assert (rows[gamma].mean_bias, rows[gamma].relative_sd) == (
+                    report.mean_bias, report.relative_sd)
+
     @pytest.mark.parametrize("gammas,split_level_size", [((50.0, 10.0), 60), ((2.0, 0.8), None)],
                              ids=["split-at-level-1", "never-split"])
     def test_shared_louvain_rows_match_separate_calls(self, gammas, split_level_size):
@@ -272,6 +292,18 @@ class TestFrontier:
         frontier(system, sessions, gammas=[50.0, 10.0], policy=PricePolicy(0.9),
                  metric=Metric.UNITS, p=10, seed=53, workers=2, exposure_draws=4)
         assert calls == [(os.getpid(), [])] * 3
+
+    def test_rejects_p_below_2_before_any_work(self, monkeypatch):
+        monkeypatch.setattr("interference_lab.clustering._graph",
+                            lambda *a: pytest.fail("the graph was built"))
+        monkeypatch.setattr("interference_lab.clustering._louvain",
+                            lambda *a: pytest.fail("Louvain started"))
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 100, 2, 4, purity=0.5, seed=42)
+        with pytest.raises(ValueError, match="^p must be >= 2$"):
+            frontier(system, sessions, gammas=[1.0], policy=PricePolicy(0.9),
+                     metric=Metric.UNITS, p=1, seed=43, workers=2)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
     def test_rejects_a_bad_gamma_before_any_work(self, gamma, monkeypatch):

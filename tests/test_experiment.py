@@ -1,7 +1,9 @@
 """Tests for randomization, the lift estimator, and Monte-Carlo bias."""
 
 import math
+import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +26,9 @@ from interference_lab import (
     run_experiment,
     sweep_substitution,
 )
-from interference_lab import experiment
 from interference_lab.experiment import (
+    _map_draws,
     _parallel_map,
-    _pool,
     mc_standard_error,
     nearest_rank_quantile,
 )
@@ -202,16 +203,6 @@ def clean_system():
     return generate_demand_system(cfg, seed=23)
 
 
-def _has_no_pool(_):
-    return experiment._active_pool.get() is None
-
-
-class TestPool:
-    def test_workers_start_without_a_pool(self):
-        with _pool(2):
-            assert _parallel_map(_has_no_pool, [(0,), (1,)]) == [True, True]
-
-
 class TestMonteCarloBias:
     def test_deterministic_across_worker_counts(self, small_system):
         kwargs = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=40,
@@ -224,9 +215,9 @@ class TestMonteCarloBias:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         sent = []
 
-        def counting_map(fn, jobs):
+        def counting_map(fn, jobs, workers):
             sent.extend(jobs)
-            return _parallel_map(fn, jobs)
+            return _parallel_map(fn, jobs, workers)
 
         monkeypatch.setattr("interference_lab.experiment._parallel_map", counting_map)
         kwargs = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=40, master_seed=99)
@@ -310,6 +301,13 @@ class TestSweep:
             sweep_substitution(GeneratorConfig(n=50), [0.1, 1.5], ["article"],
                                PricePolicy(0.95), Metric.REVENUE, p=10, seed=0)
 
+    def test_rejects_p_below_2_before_any_work(self, monkeypatch):
+        monkeypatch.setattr("interference_lab.experiment.generate_demand_system",
+                            lambda *a: pytest.fail("a system was generated"))
+        with pytest.raises(ValueError, match="^p must be >= 2$"):
+            sweep_substitution(GeneratorConfig(n=50), [0.1, 0.2], ["article"],
+                               PricePolicy(0.95), Metric.REVENUE, p=1, seed=0)
+
     @pytest.mark.parametrize("config,message", [
         (GeneratorConfig(n=50, background_share=0.6),
          r"^phi 0\.5: within_share \+ background_share must be < 1$"),
@@ -322,6 +320,54 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep_substitution(config, [0.1, 0.5], ["article"], PricePolicy(0.95),
                                Metric.REVENUE, p=10, seed=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_row_is_its_own_monte_carlo_bias(self, workers):
+        cfg, phis = GeneratorConfig(n=80, background_share=0.0), [0.1, 0.5]
+        policy, metric, p, seed = PricePolicy(0.95), Metric.REVENUE, 12, 17
+        rows = sweep_substitution(cfg, phis, ["article", "cluster"], policy, metric, p, seed,
+                                  workers=workers)
+        expected = []
+        for i, phi in enumerate(phis):
+            system = generate_demand_system(replace(cfg, within_share=phi), seed)
+            for j, strategy in enumerate([ArticleLevel(), ClusterLevel(system.partition)]):
+                expected.append(monte_carlo_bias(system, strategy, policy, metric, p,
+                                                 [seed, i, j]))
+        assert [row.report for row in rows] == expected
+
+
+class TestMapDraws:
+    """Tasks batched into one map get the bits of their single-task calls."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_task_of_a_mixed_batch_gets_its_own_lifts(self, small_system, workers):
+        # Coverage's A/A and treated runs, then one bias run.
+        coverage = (small_system, ArticleLevel(), Metric.UNITS, [4],
+                    [(PricePolicy(1.0), 0, 0.05), (PricePolicy(0.95), 2, 0.05)])
+        bias = (small_system, ClusterLevel(small_system.partition), Metric.UNITS, [4, 1, 2],
+                [(PricePolicy(0.95), None, None)])
+        batched = _map_draws([coverage, bias], 30, workers)
+        assert [lifts.shape for lifts in batched] == [(2, 30), (1, 30)]
+        for lifts, task in zip(batched, [coverage, bias]):
+            np.testing.assert_array_equal(lifts, _map_draws([task], 30, workers)[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run,cause", [
+        ((PricePolicy(1e-110), None, None), "the policy is"),
+        ((PricePolicy(0.95), 0, 1e300), "the policy or noise_sigma is")],
+        ids=["policy", "noise"])
+    def test_a_non_finite_second_task_is_its_own_error(self, small_system, workers, run,
+                                                       cause):
+        fine = (small_system, ArticleLevel(), Metric.UNITS, [1], [(PricePolicy(0.95), None, None)])
+        bad = (small_system, ArticleLevel(), Metric.UNITS, [2], [run])
+        errors = []
+        for tasks in ([bad], [fine, bad]):
+            with pytest.raises(ValueError, match=f"^an experiment estimate is not finite: {cause} "
+                               ) as error:
+                _map_draws(tasks, 10, workers)
+            errors.append(str(error.value))
+        assert errors[1] == errors[0]
+        assert multiprocessing.active_children() == []
 
 
 class TestCoverage:
