@@ -7,10 +7,19 @@ sessions seeing both arms is the interference heuristic used to judge a
 clustering.
 
 Internally a graph is held as ``src``/``dst``/``w`` edge arrays and a session
-list as a CSR view (``indptr``, ``article``). Weights are integer counts, so
+list as a CSR view (``indptr``, ``article``). Weights are int64 counts, so
 every weight sum is exact whatever its order. The CLI reads a clickstream
 CSV with ``_read_csr``, or synthesizes sessions with ``_generate``, straight
 into the CSR view and never materializes ``Session`` objects.
+
+``_read_csr`` first tries ``_read_plain``, an array parser for plain files:
+ASCII, ``\n`` line ends, no quotes, the exact header and ``<id>,<digits>``
+rows. It reads fixed-size blocks cut at a line end, finds the commas and line
+ends with numpy, parses the digits column by column and numbers the session
+ids with ``np.unique`` over fixed-width byte strings. At the first block
+that is not plain it gives up, and ``_read_rows``, the ``csv_records`` row
+loop, reads the file from the start; so every error, with its message and
+line number, comes from the row loop. Both give the same arrays.
 ``generate_sessions``, ``read_sessions``, ``build_graph`` and
 ``exposure_share`` are adapters over the array cores for library callers;
 ``_csr`` is the one converter from a ``Session`` list to the CSR view.
@@ -19,6 +28,7 @@ into the CSR view and never materializes ``Session`` objects.
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 import logging
@@ -50,14 +60,19 @@ class Session:
 class SessionGraph:
     """Weighted undirected co-view graph: edge e joins ``src[e] < dst[e]`` with weight ``w[e]``.
 
-    ``SessionGraph(n, edges)`` takes a ``{(i, j): w}`` dict; any graph builds
-    that dict from its arrays when ``edges`` is first read.
+    ``SessionGraph(n, edges)`` takes a ``{(i, j): w}`` dict of integer counts
+    (``int`` or numpy integers, not ``bool``); any graph builds that dict from
+    its arrays when ``edges`` is first read.
     """
 
     def __init__(self, n: int, edges: dict[tuple[int, int], int]):
         ij = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        weights = list(edges.values())
         # Integer counts keep an integer dtype, so every sum of them is exact.
-        self._set(n, ij[:, 0], ij[:, 1], np.array(list(edges.values())))
+        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool)
+                   and int(w) < 2**63 for w in weights):
+            raise ValueError("edge weights must be integer counts below 2**63")
+        self._set(n, ij[:, 0], ij[:, 1], np.array(weights, dtype=np.int64))
 
     @classmethod
     def _from_arrays(cls, n, src, dst, w) -> SessionGraph:
@@ -161,11 +176,25 @@ def _read_csr(path, n_articles: int | None = None
     session_ids is None for an empty file.
     """
     path = Path(path)
-    codes: dict[str, int] = {}
-    code, article = array("q"), array("q")
     # Ids must fit in int64 even when no article count is declared.
     limit = 2**63 if n_articles is None else n_articles
     empty = path.stat().st_size == 0
+    parsed = None if empty else _read_plain(path, limit)
+    codes, code, article = parsed or _read_rows(path, limit, empty)
+    # Ranking the ids first keeps the (session, rank) key far below 2**63.
+    ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
+    indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
+    return (None if empty else list(codes)), indptr, ids[rank]
+
+
+def _read_rows(path: Path, limit: int, empty: bool):
+    """(codes, code, article), read record by record with ``csv_records``.
+
+    Row i viewed ``article[i]`` in session ``code[i]``; ``codes`` numbers the
+    session ids by first appearance.
+    """
+    codes: dict[str, int] = {}
+    code, article = array("q"), array("q")
     for line, (sid, raw) in () if empty else csv_records(path, CLICKSTREAM_HEADER):
         try:
             a = int(raw)
@@ -175,10 +204,97 @@ def _read_csr(path, n_articles: int | None = None
             raise ValueError(f"{path}: unknown article id {a} at line {line}")
         code.append(codes.setdefault(sid, len(codes)))
         article.append(a)
-    # Ranking the ids first keeps the (session, rank) key far below 2**63.
-    ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
-    indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
-    return (None if empty else list(codes)), indptr, ids[rank]
+    return codes, code, article
+
+
+# Bytes read per block by _read_plain; one block's arrays are all it adds to the row loop's memory.
+_BLOCK = 1 << 18
+
+
+def _read_plain(path: Path, limit: int):
+    """``_read_rows``' result for a plain file, parsed a block at a time as arrays; None otherwise.
+
+    A plain file is ASCII with ``\\n`` line ends and no ``"``, carriage return
+    or NUL; its first line is exactly the header, and every other line is
+    ``<id>,<1 to 18 digits>`` with each field within ``csv.field_size_limit()``
+    and each article id below ``limit``. The csv module reads such a file
+    as the split at the comma, so both readers give the same rows.
+    """
+    codes: dict[str, int] = {}
+    code, article = array("q"), array("q")
+    field_limit = csv.field_size_limit()
+    if max(map(len, CLICKSTREAM_HEADER)) > field_limit:
+        return None
+    header = (",".join(CLICKSTREAM_HEADER) + "\n").encode()
+    with path.open("rb") as fh:
+        if fh.readline(len(header)) != header:
+            return None
+        rest = b""
+        while chunk := fh.read(_BLOCK):
+            block = rest + chunk
+            if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
+                return None
+            cut = block.rfind(b"\n") + 1
+            rest = block[cut:]
+            # A plain line holds at most a field_limit id, a comma and 18 digits.
+            if len(rest) > field_limit + 19:
+                return None
+            if cut and not _parse_block(np.frombuffer(block, np.uint8, cut), limit,
+                                        field_limit, codes, code, article):
+                return None
+    return None if rest else (codes, code, article)
+
+
+def _parse_block(buf: np.ndarray, limit: int, field_limit: int, codes: dict[str, int],
+                 code: array, article: array) -> bool:
+    """Append the whole lines ``buf`` of a plain file to ``codes``, ``code`` and ``article``.
+
+    False if a line is not plain.
+    """
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if commas.size != ends.size:
+        return False
+    # Pair the i-th comma with the i-th line end; once every field between
+    # them is 1 to 18 digits, each line holds exactly one comma.
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    digits, width = ends - commas - 1, commas - starts
+    if digits.min() < 1 or digits.max() > min(18, field_limit) or width.max() > field_limit:
+        return False
+    value = np.zeros(ends.size, dtype=np.int64)
+    for k in range(1, int(digits.max()) + 1):
+        live = digits >= k
+        d = buf[np.where(live, commas + k, 0)] - ord("0")
+        if (d[live] > 9).any():
+            return False
+        value = np.where(live, value * 10 + d, value)
+    if int(value.max()) >= limit:
+        return False
+
+    # The ids of one width, each with its comma, form a fixed-width S array of
+    # at most the block's bytes; np.unique codes them without a Python object per row.
+    names, first, groups = [], [], []
+    by_width = np.argsort(width, kind="stable")
+    for rows in np.split(by_width, np.flatnonzero(np.diff(width[by_width])) + 1):
+        w = int(width[rows[0]]) + 1
+        keys = np.lib.stride_tricks.sliding_window_view(buf, w)[starts[rows]]
+        unique, at, inverse = np.unique(keys.view(f"S{w}").ravel(),
+                                        return_index=True, return_inverse=True)
+        groups.append((rows, len(names) + inverse))
+        # No id holds a comma, so one split recovers the ids.
+        names += unique.tobytes().decode("ascii").split(",")[:-1]
+        first.append(rows[at])
+    # Numbering the block's ids in order of first appearance extends ``codes``
+    # as the row loop would.
+    order = np.argsort(np.concatenate(first))
+    number = np.empty(len(names), dtype=np.int64)
+    number[order] = [codes.setdefault(names[i], len(codes)) for i in order.tolist()]
+    row_code = np.empty(ends.size, dtype=np.int64)
+    for rows, unique_at in groups:
+        row_code[rows] = number[unique_at]
+    code.frombytes(row_code.view(np.uint8))
+    article.frombytes(value.view(np.uint8))
+    return True
 
 
 def read_sessions(path, n_articles: int | None = None) -> list[Session]:

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interference_lab import DemandSystem, cli, generate_sessions
+from interference_lab import DemandSystem, clickstream, cli, generate_sessions
 from interference_lab.clickstream import write_sessions
+from interference_lab.demand import csv_records
 from interference_lab.reports import (
     BIAS_HEADER,
     COVERAGE_HEADER,
@@ -357,6 +358,30 @@ class TestSessionsFile:
         assert run([*command, "--system", system_path, "--sessions", clicks,
                     "--seed", "6", "--out", from_file]) == 0
         assert from_file.read_bytes() == synthesized.read_bytes()
+
+    @pytest.mark.parametrize("command", [["cluster", "--gamma", "0.8"], ["exposure"]])
+    def test_bytes_do_not_depend_on_the_reader_path(self, system_path, tmp_path, monkeypatch,
+                                                    command):
+        sessions = generate_sessions(DemandSystem.load(system_path).partition,
+                                     500, 2, 5, 0.9, seed=6)
+        rows = [(s.session_id, a) for s in sessions for a in sorted(s.viewed)]
+        row_loop = []
+        monkeypatch.setattr(clickstream, "csv_records", lambda path, header:
+                            row_loop.append(path) or csv_records(path, header))
+        outputs = []
+        # The plain file takes the array parser; the quoted and CRLF files take the row loop.
+        for name, options in [("plain", {}), ("quoted", {"quoting": csv.QUOTE_ALL}),
+                              ("crlf", {"lineterminator": "\r\n"})]:
+            clicks, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out"
+            with open(clicks, "w", newline="") as fh:
+                writer = csv.writer(fh, **{"lineterminator": "\n", **options})
+                writer.writerow(["session_id", "article_id"])
+                writer.writerows(rows)
+            assert run([*command, "--system", system_path, "--sessions", clicks,
+                        "--seed", "6", "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert row_loop == [tmp_path / "quoted.csv", tmp_path / "crlf.csv"]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", [["cluster"], ["exposure", "--strategy", "article"]])
     @pytest.mark.parametrize("rows,declared,message", [

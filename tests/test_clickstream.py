@@ -45,6 +45,19 @@ class TestSessionGraph:
         with pytest.raises(ValueError):
             SessionGraph(n=2, edges={(0, 5): 1})
 
+    @pytest.mark.parametrize("weight", [1.5, 2.0, np.float64(2), True, np.bool_(True), "2",
+                                        None, 2**63, np.uint64(2**64 - 1)])
+    def test_rejects_weights_that_are_not_integer_counts(self, weight):
+        with pytest.raises(ValueError, match="^edge weights must be integer counts below"):
+            SessionGraph(n=4, edges={(0, 1): 1, (2, 3): weight})
+
+    @pytest.mark.parametrize("edges", [{}, {(0, 1): 1}, {(0, 1): np.int32(2), (1, 2): np.uint8(3)},
+                                       {(0, 1): 2**63 - 1}])
+    def test_weights_are_int64(self, edges):
+        g = SessionGraph(n=3, edges=edges)
+        assert g.w.dtype == np.int64
+        assert g.w.tolist() == [int(w) for w in edges.values()]
+
     def test_strengths_and_total_weight(self):
         g = SessionGraph(n=3, edges={(0, 1): 2, (1, 2): 3})
         assert g.total_weight == 5.0

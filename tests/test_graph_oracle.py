@@ -10,6 +10,7 @@ import itertools
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,8 +36,17 @@ from interference_lab import (
     modularity,
     read_sessions,
 )
-from interference_lab.clickstream import _csr, _exposure, _generate, _graph, _read_csr
+from interference_lab import clickstream
+from interference_lab.clickstream import (
+    _csr,
+    _exposure,
+    _generate,
+    _graph,
+    _read_csr,
+    write_sessions,
+)
 from interference_lab.clustering import _louvain
+from interference_lab.demand import csv_records
 
 N = 40
 # Short sessions (including single views) mixed with sessions of 30+ views.
@@ -461,6 +471,124 @@ def test_csr_reader_on_empty_and_header_only_files(tmp_path):
         assert got == ids
         assert indptr.tolist() == [0]
         assert article.tolist() == []
+
+
+class TestArrayParser:
+    """``_read_csr`` parses plain files as arrays and every other file with the row loop."""
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        """Paths whose rows ``csv_records`` read: the row loop ran for each."""
+        paths = []
+
+        def records(path, header):
+            paths.append(path)
+            return csv_records(path, header)
+
+        monkeypatch.setattr(clickstream, "csv_records", records)
+        return paths
+
+    @staticmethod
+    def outcome(reader, path, n_articles):
+        """[(id, sorted articles)] of ``reader``, or the text of its error."""
+        try:
+            result = reader(path, n_articles)
+        except csv.Error as exc:  # the reference lets the csv module's errors through
+            return f"{path}: {exc}"
+        except ValueError as exc:
+            return str(exc)
+        if reader is _read_csr:
+            ids, indptr, article = result
+            return [(sid, article[a:b].tolist())
+                    for sid, a, b in zip(ids or [], indptr, indptr[1:])]
+        return [(sid, sorted(viewed)) for sid, viewed in result]
+
+    def same_as_reference(self, tmp_path, text, n_articles=N):
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = self.outcome(_read_csr, path, n_articles)
+        assert got == self.outcome(reference_read_sessions, path, n_articles)
+        return got
+
+    # Plain ids: any ASCII but a comma, a quote, a line end or NUL; digit ids too.
+    plain_ids = st.one_of(
+        st.text(st.sampled_from([chr(c) for c in range(1, 128) if chr(c) not in ',"\r\n']),
+                max_size=6),
+        st.integers(0, 10**20).map(str))
+    plain_articles = st.builds(lambda a, zeros: "0" * zeros + str(a),
+                               st.integers(0, N - 1), st.integers(0, 16))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(plain_ids, plain_articles), max_size=40),
+           declared=st.booleans(), block=st.sampled_from([1, 7, 64, clickstream._BLOCK]))
+    def test_plain_files_take_the_array_parser(self, rows, declared, block):
+        text = "session_id,article_id\n" + "".join(f"{sid},{a}\n" for sid, a in rows)
+        n_articles = N if declared else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clicks.csv"
+            path.write_text(text, encoding="ascii")
+            expected = self.outcome(reference_read_sessions, path, n_articles)
+            with mock.patch.object(clickstream, "_BLOCK", block), \
+                    mock.patch.object(clickstream, "csv_records",
+                                      side_effect=AssertionError("the row loop ran")):
+                assert self.outcome(_read_csr, path, n_articles) == expected
+
+    def test_a_field_at_the_csv_limit_is_plain(self, tmp_path, spy):
+        sid = "x" * csv.field_size_limit()
+        assert self.same_as_reference(tmp_path, f"session_id,article_id\n{sid},3\na,1\n") \
+            == [(sid, [3]), ("a", [1])]
+        assert spy == []
+
+    @pytest.mark.parametrize("text", [
+        'session_id,article_id\n"a",1\nb,"2"\n',
+        "session_id,article_id\r\na,1\r\nb,2\r\n",
+        "session_id,article_id\na\rb,1\n",
+        "\ufeffsession_id,article_id\na,1\n",
+        "session_id,article_id\nä,1\n",
+        "session_id,article_id\na\0b,1\n",
+        "session_id,article_id\na,1\n\nb,2\n",
+        "session_id,article_id\na,1\nb,1,2\n",
+        "session_id,article_id\na,1\nb,2",
+        "session_id,article_id\na,+7\n",
+        "session_id,article_id\na, 7\n",
+        "session_id,article_id\na,7 \n",
+        "session_id,article_id\na,0000000000000000007\n",
+        f"session_id,article_id\na,1\nb,{N}\n",
+        " session_id , article_id\na,1\n",
+        f"session_id,article_id\na,1\n{'x' * (csv.field_size_limit() + 1)},2\n",
+    ], ids=["quote", "crlf", "cr-in-id", "bom", "non-ascii", "nul", "blank-line",
+            "extra-field", "no-final-newline", "plus", "leading-space", "trailing-space",
+            "19-digits", "id-not-below-n", "padded-header", "oversized-field"])
+    def test_other_files_take_the_row_loop(self, tmp_path, spy, text):
+        self.same_as_reference(tmp_path, text)
+        assert spy == [tmp_path / "clicks.csv"]
+
+    def test_a_lowered_csv_limit_holds_for_the_header_too(self, tmp_path, spy):
+        limit = csv.field_size_limit(9)
+        try:
+            got = self.same_as_reference(tmp_path, "session_id,article_id\na,1\n")
+        finally:
+            csv.field_size_limit(limit)
+        assert got.endswith("field larger than field limit (9)")
+        assert spy == [tmp_path / "clicks.csv"]
+
+    def test_sessions_spanning_blocks_match_the_row_loop(self, tmp_path, monkeypatch, spy):
+        sessions = generate_sessions(Partition(np.arange(N) % 5), 300, 1, 6, 0.5, seed=4)
+        path = tmp_path / "clicks.csv"
+        write_sessions(sessions, path)
+        # Even rows, then odd rows: most sessions recur far apart, not only at a block cut.
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines[1:]
+        path.write_text(lines[0] + "".join(body[0::2] + body[1::2]))
+        monkeypatch.setattr(clickstream, "_BLOCK", 50)
+        ids, indptr, article = _read_csr(path, N)
+        assert spy == []
+        monkeypatch.setattr(clickstream, "_read_plain", lambda path, limit: None)
+        row_ids, row_indptr, row_article = _read_csr(path, N)
+        assert spy == [path]
+        assert ids == row_ids
+        assert indptr.tolist() == row_indptr.tolist()
+        assert article.tolist() == row_article.tolist()
 
 
 def reference_generate_sessions(partition, n_sessions, views_min, views_max, purity, seed):
