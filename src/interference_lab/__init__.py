@@ -27,6 +27,7 @@ from .experiment import (
     sweep_substitution,
 )
 from .clickstream import (
+    Clickstream,
     ExposureReport,
     Session,
     SessionGraph,

@@ -223,19 +223,19 @@ def _strategy(args, part: demand.Partition | None):
     return experiment.ClusterLevel(part)
 
 
-def _session_csr(args, part: demand.Partition | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """(indptr, article, n) of the clickstream CSV, or of sessions synthesized from ``part``."""
+def _sessions(args, part: demand.Partition | None) -> clickstream.Clickstream:
+    """The sessions of the clickstream CSV, or sessions synthesized from ``part``."""
     if (args.sessions is None) == (args.n_sessions is None):
         raise RuntimeError("provide --sessions, or --n-sessions for synthesis, but not both")
     if args.sessions is not None:
-        ids, indptr, article = clickstream._read_csr(args.sessions, part.n if part else None)
-        if not ids:
+        sessions = clickstream.read_sessions(args.sessions, part.n if part else None)
+        if not sessions:
             raise RuntimeError(f"{args.sessions}: no sessions")
-        return indptr, article, part.n if part else int(article.max()) + 1
+        return sessions
     if part is None:
         raise RuntimeError("session synthesis needs --partition or --system")
-    return *clickstream._generate(part, args.n_sessions, args.views_min, args.views_max,
-                                  args.purity, args.seed), part.n
+    return clickstream.generate_sessions(part, args.n_sessions, args.views_min, args.views_max,
+                                         args.purity, args.seed)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -276,7 +276,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_cluster(args) -> None:
     _, part = _inputs(args)
-    graph = clickstream._graph(*_session_csr(args, part))
+    graph = clickstream.build_graph(_sessions(args, part), part.n if part else None)
     result = clustering.louvain(graph, gamma=args.gamma, seed=args.seed)
     reports.write_partition(args.out, result)
 
@@ -284,18 +284,18 @@ def cmd_cluster(args) -> None:
 def cmd_exposure(args) -> None:
     _, part = _inputs(args)
     strategy = _strategy(args, part)
-    indptr, article, n = _session_csr(args, part)
+    sessions = _sessions(args, part)
+    n = part.n if part else int(sessions.article.max()) + 1
     assignment = experiment.assign(strategy, n, np.random.default_rng([args.seed, 1]))
-    reports.write_exposure(args.out,
-                           clickstream._exposure(indptr, article, assignment.treated))
+    reports.write_exposure(args.out, clickstream.exposure_share(sessions, assignment))
 
 
 def cmd_frontier(args) -> None:
     system, part = _inputs(args)
-    indptr, article, _ = _session_csr(args, part)
+    sessions = _sessions(args, part)
     gammas = _parse_floats(args.gammas, "gamma")
-    points = clustering._frontier(
-        system, indptr, article, gammas, demand.PricePolicy(args.multiplier),
+    points = clustering.frontier(
+        system, sessions, gammas, demand.PricePolicy(args.multiplier),
         demand.Metric(args.metric), p=args.p, seed=args.seed, workers=args.workers,
         exposure_draws=args.exposure_draws)
     reports.write_frontier(args.out, points)

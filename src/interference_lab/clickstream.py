@@ -6,34 +6,33 @@ Exposure classifies each session by the treatment labels it saw; the share of
 sessions seeing both arms is the interference heuristic used to judge a
 clustering.
 
-Internally a graph is held as ``src``/``dst``/``w`` edge arrays and a session
-list as a CSR view (``indptr``, ``article``). Weights are int64 counts, so
-every weight sum is exact whatever its order. The CLI reads a clickstream
-CSV with ``_read_csr``, or synthesizes sessions with ``_generate``, straight
-into the CSR view and never materializes ``Session`` objects.
+Sessions are held as a ``Clickstream``: one id per session and a CSR view
+(``indptr``, ``article``) of what each viewed. ``generate_sessions`` and
+``read_sessions`` return one; ``build_graph``, ``exposure_share`` and
+``clustering.frontier`` take one, or any iterable of ``Session`` objects,
+which ``Clickstream.of`` converts. Iterating a Clickstream yields its
+``Session`` objects. A graph is held as ``src``/``dst``/``w`` edge arrays.
+Weights are int64 counts, so every weight sum is exact whatever its order.
 
-``_read_csr`` first tries ``_read_plain``, an array parser for plain files:
-ASCII, ``\n`` line ends, no quotes, the exact header and ``<id>,<digits>``
-rows. It reads fixed-size blocks cut at a line end, finds the commas and line
-ends with numpy, parses the digits column by column and numbers the session
-ids with ``np.unique`` over fixed-width byte strings. At the first block
-that is not plain it gives up, and ``_read_rows``, the ``csv_records`` row
-loop, reads the file from the start; so every error, with its message and
-line number, comes from the row loop. Both give the same arrays.
-``generate_sessions``, ``read_sessions``, ``build_graph`` and
-``exposure_share`` are adapters over the array cores for library callers;
-``_csr`` is the one converter from a ``Session`` list to the CSR view.
-``write_sessions`` writes ``CLICKSTREAM_HEADER`` files through ``demand.write_csv``.
+``read_sessions`` first tries ``_read_plain``, an array parser for plain
+files: ASCII, ``\n`` line ends, no quotes, the exact header and
+``<id>,<digits>`` rows. It reads fixed-size blocks cut at a line end, finds
+the commas and line ends with numpy, parses the digits column by column and
+numbers the session ids with ``np.unique`` over fixed-width byte strings. At
+the first block that is not plain it gives up, and ``_read_rows``, the
+``csv_records`` row loop, reads the file from the start; so every error,
+with its message and line number, comes from the row loop. Both give the
+same arrays. ``write_sessions`` writes ``CLICKSTREAM_HEADER`` files through
+``demand.write_csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
-import logging
 import math
 from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +40,6 @@ import numpy as np
 
 from .demand import Partition, csv_records, write_csv
 from .experiment import Assignment
-
-logger = logging.getLogger(__name__)
 
 CLICKSTREAM_HEADER = ["session_id", "article_id"]
 
@@ -55,6 +52,68 @@ class Session:
     def __post_init__(self):
         if not self.viewed:
             raise ValueError("a session must view at least one article")
+
+
+class _Numbered(Sequence):
+    """The ids ``s0``, ``s1``, ... of ``n`` generated sessions, each named when read."""
+
+    def __init__(self, n: int):
+        self._range = range(n)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, i: int) -> str:
+        return f"s{self._range[i]}"
+
+
+@dataclass(frozen=True, eq=False)
+class Clickstream:
+    """Session s is ``ids[s]`` and viewed ``article[indptr[s]:indptr[s + 1]]``, ascending.
+
+    ``len`` counts the sessions; iterating yields them as ``Session`` objects.
+    """
+
+    ids: Sequence[str]
+    indptr: np.ndarray
+    article: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def __iter__(self) -> Iterator[Session]:
+        starts, views = self.indptr.tolist(), self.article.tolist()
+        return (Session(sid, frozenset(views[a:b]))
+                for sid, a, b in zip(self.ids, starts, starts[1:]))
+
+    @classmethod
+    def of(cls, sessions: Clickstream | Iterable[Session], n: int | None = None) -> Clickstream:
+        """``sessions`` as a non-empty Clickstream; an iterable of ``Session`` is read once.
+
+        A Clickstream passes through. With ``n``, every article must lie in 0..n-1.
+        """
+        if not isinstance(sessions, Clickstream):
+            ids, lengths, views = [], [0], []
+            for s in sessions:
+                # Converting 1.5 or True to int64 would silently make them articles 1.
+                if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                           for a in s.viewed):
+                    raise ValueError(f"session {s.session_id}: article ids must be integers")
+                ids.append(s.session_id)
+                lengths.append(len(s.viewed))
+                views += sorted(s.viewed)
+            sessions = cls(ids, np.cumsum(lengths), np.array(views, dtype=np.int64))
+        if not sessions:
+            raise ValueError("sessions must be non-empty")
+        if n is not None:
+            article = sessions.article
+            uncovered = (article < 0) | (article >= n)
+            if uncovered.any():
+                at = int(uncovered.argmax())
+                s = int(np.searchsorted(sessions.indptr, at, side="right")) - 1
+                raise ValueError(f"session {sessions.ids[s]}: article {article[at]} is not "
+                                 f"among the {n} articles")
+        return sessions
 
 
 class SessionGraph:
@@ -117,9 +176,15 @@ class ExposureReport:
     session_count: int
 
 
-def _generate(partition: Partition, n_sessions: int, views_min: int, views_max: int,
-              purity: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, article) of ``generate_sessions``' sessions, articles ascending per session."""
+def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
+                      views_max: int, purity: float, seed: int) -> Clickstream:
+    """Synthesize sessions ``s0``, ``s1``, ... with a home cluster and a purity knob.
+
+    Each session picks a home cluster uniformly; each of its k ~
+    uniform[views_min, views_max] views stays in the home cluster with
+    probability ``purity`` and otherwise lands uniformly on any article.
+    Views are deduplicated within the session.
+    """
     if n_sessions < 1:
         raise ValueError("n_sessions must be >= 1")
     if views_min < 1 or views_max < views_min:
@@ -142,7 +207,8 @@ def _generate(partition: Partition, n_sessions: int, views_min: int, views_max: 
     anywhere = rng.integers(0, n, total)
     views = np.where(stay, members[in_cluster], anywhere)
 
-    return _group(np.repeat(np.arange(n_sessions), counts), views, n_sessions, n)
+    return Clickstream(_Numbered(n_sessions),
+                       *_group(np.repeat(np.arange(n_sessions), counts), views, n_sessions, n))
 
 
 def _group(session, article, n_sessions: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,25 +221,13 @@ def _group(session, article, n_sessions: int, n: int) -> tuple[np.ndarray, np.nd
     return np.searchsorted(key, np.arange(n_sessions + 1) * n), key % n
 
 
-def generate_sessions(partition: Partition, n_sessions: int, views_min: int,
-                      views_max: int, purity: float, seed: int) -> list[Session]:
-    """Synthesize sessions ``s0``, ``s1``, ... with a home cluster and a purity knob.
+def read_sessions(path, n_articles: int | None = None) -> Clickstream:
+    """Read sessions from a CSV with header ``session_id,article_id``.
 
-    Each session picks a home cluster uniformly; each of its k ~
-    uniform[views_min, views_max] views stays in the home cluster with
-    probability ``purity`` and otherwise lands uniformly on any article.
-    Views are deduplicated within the session.
-    """
-    indptr, article = _generate(partition, n_sessions, views_min, views_max, purity, seed)
-    return _sessions([f"s{i}" for i in range(n_sessions)], indptr, article)
-
-
-def _read_csr(path, n_articles: int | None = None
-              ) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
-    """(session_ids, indptr, article) of the rows ``read_sessions`` reads.
-
-    Session s viewed ``article[indptr[s]:indptr[s + 1]]``, in ascending order;
-    session_ids is None for an empty file.
+    Rows with the same session_id aggregate into one deduplicated session;
+    session order follows first appearance. Malformed rows and out-of-range
+    article ids raise with the offending line number. An empty or header-only
+    file gives an empty Clickstream.
     """
     path = Path(path)
     # Ids must fit in int64 even when no article count is declared.
@@ -184,7 +238,7 @@ def _read_csr(path, n_articles: int | None = None
     # Ranking the ids first keeps the (session, rank) key far below 2**63.
     ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
     indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
-    return (None if empty else list(codes)), indptr, ids[rank]
+    return Clickstream(list(codes), indptr, ids[rank])
 
 
 def _read_rows(path: Path, limit: int, empty: bool):
@@ -297,55 +351,17 @@ def _parse_block(buf: np.ndarray, limit: int, field_limit: int, codes: dict[str,
     return True
 
 
-def read_sessions(path, n_articles: int | None = None) -> list[Session]:
-    """Read sessions from a CSV with header ``session_id,article_id``.
-
-    Rows with the same session_id aggregate into one deduplicated session;
-    session order follows first appearance. Malformed rows and out-of-range
-    article ids raise with the offending line number.
-    """
-    ids, indptr, article = _read_csr(path, n_articles)
-    if not ids:
-        logger.warning("empty clickstream file %s" if ids is None
-                       else "clickstream file %s contains no rows", path)
-    return _sessions(ids or [], indptr, article)
-
-
-def _sessions(ids: list[str], indptr: np.ndarray, article: np.ndarray) -> list[Session]:
-    """One ``Session`` per id from the CSR view (``indptr``, ``article``)."""
-    starts, views = indptr.tolist(), article.tolist()
-    return [Session(sid, frozenset(views[a:b]))
-            for sid, a, b in zip(ids, starts, starts[1:])]
-
-
-def write_sessions(sessions: list[Session], path) -> None:
+def write_sessions(sessions: Iterable[Session], path) -> None:
     """Write sessions in the clickstream CSV format (sorted article ids per session)."""
     write_csv(path, CLICKSTREAM_HEADER,
               ((s.session_id, a) for s in sessions for a in sorted(s.viewed)))
 
 
-def _csr(sessions: list[Session], n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, article): session s viewed ``article[indptr[s]:indptr[s + 1]]``.
-
-    With ``n``, every article must lie in 0..n-1.
-    """
-    if not sessions:
-        raise ValueError("sessions must be non-empty")
-    indptr = np.cumsum([0] + [len(s.viewed) for s in sessions])
-    article = np.fromiter(itertools.chain.from_iterable(s.viewed for s in sessions),
-                          dtype=np.int64, count=int(indptr[-1]))
-    if n is not None:
-        uncovered = (article < 0) | (article >= n)
-        if uncovered.any():
-            at = int(uncovered.argmax())
-            s = sessions[int(np.searchsorted(indptr, at, side="right")) - 1]
-            raise ValueError(f"session {s.session_id}: article {article[at]} is not "
-                             f"among the {n} articles")
-    return indptr, article
-
-
-def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> SessionGraph:
-    """Co-view graph of the CSR sessions (``indptr``, ``article``); callers check their ids."""
+def build_graph(sessions: Clickstream | Iterable[Session],
+                n: int | None = None) -> SessionGraph:
+    """Co-view graph: each session adds weight 1 to every pair it viewed."""
+    sessions = Clickstream.of(sessions, n)
+    indptr, article = sessions.indptr, sessions.article
     max_seen = int(article.max())
     if n is None:
         n = max_seen + 1
@@ -365,17 +381,15 @@ def _graph(indptr: np.ndarray, article: np.ndarray, n: int | None = None) -> Ses
     return SessionGraph._from_arrays(n, pairs // n, pairs % n, counts)
 
 
-def build_graph(sessions: list[Session], n: int | None = None) -> SessionGraph:
-    """Co-view graph: each session adds weight 1 to every pair it viewed."""
-    return _graph(*_csr(sessions, n), n)
-
-
-def _exposure(indptr: np.ndarray, article: np.ndarray, treated: np.ndarray) -> ExposureReport:
-    """Exposure of the CSR sessions (``indptr``, ``article``) under per-article labels."""
-    seen = treated[article]
+def exposure_share(sessions: Clickstream | Iterable[Session],
+                   assignment: Assignment) -> ExposureReport:
+    """Classify each session by the set of treatment labels it saw."""
+    sessions = Clickstream.of(sessions, assignment.n)
+    indptr = sessions.indptr
+    seen = assignment.treated[sessions.article]
     any_treated = np.logical_or.reduceat(seen, indptr[:-1])
     all_treated = np.logical_and.reduceat(seen, indptr[:-1])
-    count = indptr.size - 1
+    count = len(sessions)
     both = int((any_treated & ~all_treated).sum())
     t_only = int(all_treated.sum())
     c_only = count - both - t_only
@@ -386,7 +400,3 @@ def _exposure(indptr: np.ndarray, article: np.ndarray, treated: np.ndarray) -> E
         session_count=count,
     )
 
-
-def exposure_share(sessions: list[Session], assignment: Assignment) -> ExposureReport:
-    """Classify each session by the set of treatment labels it saw."""
-    return _exposure(*_csr(sessions, assignment.n), assignment.treated)

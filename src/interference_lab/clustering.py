@@ -27,19 +27,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-# exposure_share is not called here; perfbench/tests/test_tracing.py checks this binding.
-from .clickstream import (  # noqa: F401
-    Session,
-    SessionGraph,
-    _csr,
-    _exposure,
-    _graph,
-    exposure_share,
-)
+from .clickstream import Clickstream, Session, SessionGraph, build_graph, exposure_share
 from .demand import DemandSystem, Metric, Partition, PricePolicy
 from .experiment import ClusterLevel, _bias_reports, _check_p, assign
 
@@ -229,8 +222,8 @@ def louvain(graph: SessionGraph, gamma: float = 1.0, seed: int = 0) -> Partition
     return _louvain(graph, (gamma,), seed)[0]
 
 
-def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: PricePolicy,
-             metric: Metric, p: int, seed: int, workers: int = 1,
+def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], gammas,
+             policy: PricePolicy, metric: Metric, p: int, seed: int, workers: int = 1,
              exposure_draws: int = DEFAULT_EXPOSURE_DRAWS) -> list[FrontierPoint]:
     """Bias/variance/exposure trade-off across clustering resolutions.
 
@@ -249,21 +242,14 @@ def frontier(system: DemandSystem, sessions: list[Session], gammas, policy: Pric
     a few pieces each, since a true cluster's treated share then swings
     between draws, and with it the substitution between arms.
     """
-    return _frontier(system, *_csr(sessions, system.n), gammas, policy, metric, p, seed,
-                     workers, exposure_draws)
-
-
-def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gammas,
-              policy: PricePolicy, metric: Metric, p: int, seed: int, workers: int,
-              exposure_draws: int) -> list[FrontierPoint]:
-    """``frontier`` on the CSR sessions (``indptr``, ``article``)."""
+    sessions = Clickstream.of(sessions, system.n)
     if exposure_draws < 1:
         raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")
     _check_p(p)
     order = sorted(enumerate(gammas), key=lambda t: t[1])
     for _, gamma in order:
         _check_gamma(gamma)
-    graph = _graph(indptr, article, system.n)
+    graph = build_graph(sessions, system.n)
     shared, state = _louvain(graph, tuple(g for _, g in order), seed)
     parts = [shared if state is None else _louvain(graph, (gamma,), seed, state)[0]
              for _, gamma in order]
@@ -273,9 +259,9 @@ def _frontier(system: DemandSystem, indptr: np.ndarray, article: np.ndarray, gam
         share_both = share_both_sd = float("nan")
         if k >= 2:
             strategy = ClusterLevel(part)
-            treated = (assign(strategy, system.n, np.random.default_rng([seed, idx, 1, d])).treated
-                       for d in range(exposure_draws))
-            shares = np.asarray([_exposure(indptr, article, t).share_both for t in treated])
+            assignments = (assign(strategy, system.n, np.random.default_rng([seed, idx, 1, d]))
+                           for d in range(exposure_draws))
+            shares = np.asarray([exposure_share(sessions, a).share_both for a in assignments])
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
             runs.append((system, strategy, [seed, idx, 2]))

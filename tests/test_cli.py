@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interference_lab import DemandSystem, clickstream, cli, generate_sessions
+from interference_lab import DemandSystem, clickstream, cli, clustering, generate_sessions
 from interference_lab.clickstream import write_sessions
 from interference_lab.demand import csv_records
 from interference_lab.reports import (
@@ -495,6 +495,52 @@ class TestFrontier:
                     "--p", "4", "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {clicks}: {message}\n"
         assert not out.exists()
+
+
+class TestPublicFunctions:
+    """The session commands run the library's public clickstream and clustering functions."""
+
+    SPIED = {clickstream: ["read_sessions", "generate_sessions", "build_graph",
+                           "exposure_share"],
+             clustering: ["louvain", "frontier"]}
+
+    def test_commands_call_the_public_names(self, system_path, tmp_path, monkeypatch):
+        clicks = tmp_path / "clicks.csv"
+        write_sessions(generate_sessions(DemandSystem.load(system_path).partition,
+                                         500, 2, 5, 0.9, seed=6), clicks)
+        # command -> (its flags, the spied names it must call)
+        commands = {
+            "cluster": (["--sessions", clicks], {"read_sessions", "build_graph", "louvain"}),
+            "exposure": (["--sessions", clicks], {"read_sessions", "exposure_share"}),
+            "frontier": (["--n-sessions", "500", "--gammas", "2,0.8", "--p", "8",
+                          "--exposure-draws", "4"],
+                         {"generate_sessions", "frontier", "build_graph", "exposure_share"}),
+        }
+
+        def output(command, tag):
+            out = tmp_path / f"{tag}-{command}.csv"
+            assert run([command, "--system", system_path, *commands[command][0],
+                        "--seed", "6", "--workers", "1", "--out", out]) == 0
+            return out.read_bytes()
+
+        plain = {command: output(command, "plain") for command in commands}
+        called = []
+        for module, names in self.SPIED.items():
+            for name in names:
+                original = getattr(module, name)
+
+                def spy(*args, _name=name, _original=original, **kwargs):
+                    called.append(_name)
+                    return _original(*args, **kwargs)
+
+                # clustering calls the build_graph and exposure_share it imports.
+                for owner in (clickstream, clustering):
+                    if owner.__dict__.get(name) is original:
+                        monkeypatch.setattr(owner, name, spy)
+        for command, (_, names) in commands.items():
+            called.clear()
+            assert output(command, "spied") == plain[command]
+            assert names <= set(called), command
 
 
 class TestSessionSource:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from interference_lab import (
     ArticleLevel,
     Assignment,
+    Clickstream,
     ClusterLevel,
     Partition,
     Session,
@@ -21,7 +22,7 @@ from interference_lab import (
     generate_sessions,
     read_sessions,
 )
-from interference_lab.clickstream import _read_csr, write_sessions
+from interference_lab.clickstream import write_sessions
 
 
 def planted_partition(k: int, size: int) -> Partition:
@@ -32,6 +33,82 @@ class TestSession:
     def test_rejects_empty_view_set(self):
         with pytest.raises(ValueError):
             Session("s0", frozenset())
+
+
+class TestClickstream:
+    """The one session type, and ``Clickstream.of`` at the boundary with ``Session`` lists."""
+
+    def test_a_clickstream_passes_through(self):
+        sessions = generate_sessions(planted_partition(4, 5), 30, 1, 4, 0.8, seed=1)
+        assert Clickstream.of(sessions) is sessions
+        assert Clickstream.of(sessions, n=20) is sessions
+
+    def test_a_session_list_converts_to_the_generated_arrays(self):
+        generated = generate_sessions(planted_partition(4, 5), 200, 1, 4, 0.8, seed=2)
+        converted = Clickstream.of(list(generated))
+        assert converted.ids == list(generated.ids)
+        assert converted.indptr.tolist() == generated.indptr.tolist()
+        assert converted.article.tolist() == generated.article.tolist()
+        assert converted.article.dtype == np.int64
+
+    def test_len_iteration_and_lazy_names(self):
+        sessions = generate_sessions(planted_partition(2, 5), 12, 1, 3, 0.5, seed=3)
+        assert len(sessions) == len(sessions.ids) == 12
+        assert not isinstance(sessions.ids, list)
+        assert sessions.ids[0] == "s0" and sessions.ids[-1] == "s11"
+        with pytest.raises(IndexError):
+            sessions.ids[12]
+        listed = list(sessions)
+        assert [s.session_id for s in listed] == [f"s{i}" for i in range(12)]
+        assert [sorted(s.viewed) for s in listed] == [
+            sessions.article[a:b].tolist() for a, b in zip(sessions.indptr, sessions.indptr[1:])]
+
+    def test_read_gives_back_the_written_clickstream(self, tmp_path):
+        sessions = generate_sessions(planted_partition(4, 5), 50, 1, 4, 0.8, seed=4)
+        path = tmp_path / "clicks.csv"
+        write_sessions(sessions, path)
+        loaded = read_sessions(path, n_articles=20)
+        assert loaded.ids == [f"s{i}" for i in range(50)]
+        assert loaded.indptr.tolist() == sessions.indptr.tolist()
+        assert loaded.article.tolist() == sessions.article.tolist()
+
+    def test_articles_read_without_a_count_are_checked_when_scored(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("session_id,article_id\na,0\na,1\nb,2\nb,5\n")
+        sessions = read_sessions(path)
+        assignment = Assignment(np.array([True, False, False, True]))
+        with pytest.raises(ValueError, match="^session b: article 5 is not among the 4 "
+                                             "articles$"):
+            exposure_share(sessions, assignment)
+
+    def test_empty_sessions_rejected(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("session_id,article_id\n")
+        for sessions in ([], iter([]), read_sessions(path)):
+            with pytest.raises(ValueError, match="^sessions must be non-empty$"):
+                Clickstream.of(sessions)
+
+    @pytest.mark.parametrize("article", [1.5, np.float64(2), True, np.bool_(True), "3"])
+    def test_non_integer_article_ids_rejected(self, article):
+        sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
+        message = "^session b: article ids must be integers$"
+        with pytest.raises(ValueError, match=message):
+            build_graph(sessions)
+        with pytest.raises(ValueError, match=message):
+            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+
+    def test_numpy_integer_ids_are_articles(self):
+        sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
+        assert build_graph(sessions).edges == {(0, 2): 1}
+
+    def test_a_generator_of_sessions_is_read_once(self):
+        sessions = list(generate_sessions(planted_partition(4, 5), 100, 1, 4, 0.5, seed=5))
+        assignment = assign(ArticleLevel(), 20, np.random.default_rng(0))
+        graph = build_graph(s for s in sessions)
+        expected = build_graph(sessions)
+        assert graph.edges == expected.edges and graph.n == expected.n
+        assert exposure_share((s for s in sessions), assignment) == \
+            exposure_share(sessions, assignment)
 
 
 class TestSessionGraph:
@@ -69,7 +146,7 @@ class TestGenerateSessions:
         part = planted_partition(5, 10)
         a = generate_sessions(part, 200, 2, 4, 0.9, seed=3)
         b = generate_sessions(part, 200, 2, 4, 0.9, seed=3)
-        assert a == b
+        assert list(a) == list(b)
         assert len(a) == 200
         for s in a:
             assert 1 <= len(s.viewed) <= 4
@@ -115,8 +192,8 @@ class TestSessionIO:
         path = tmp_path / "clicks.csv"
         path.write_text("session_id,article_id\na,1\na,1\na,2\nb,0\n")
         loaded = read_sessions(path)
-        assert loaded == [Session("a", frozenset({1, 2})),
-                          Session("b", frozenset({0}))]
+        assert list(loaded) == [Session("a", frozenset({1, 2})),
+                                Session("b", frozenset({0}))]
 
     def test_bad_header_and_rows(self, tmp_path):
         bad_header = tmp_path / "bad.csv"
@@ -154,12 +231,10 @@ class TestSessionIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
 
-    def test_empty_file_warns_and_returns_nothing(self, tmp_path, caplog):
+    def test_empty_file_returns_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with caplog.at_level("WARNING"):
-            assert read_sessions(path) == []
-        assert "empty" in caplog.text
+        assert list(read_sessions(path)) == []
 
     def test_written_bytes(self, tmp_path):
         path = tmp_path / "clicks.csv"
@@ -188,8 +263,9 @@ class TestSessionIO:
                 assert not path.exists()
                 return
             write_sessions(sessions, path)
-            ids, indptr, article = _read_csr(path)
-            assert read_sessions(path) == sessions
+            loaded = read_sessions(path)
+            ids, indptr, article = loaded.ids, loaded.indptr, loaded.article
+            assert list(loaded) == sessions
         assert ids == [s.session_id for s in sessions]
         assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
             [sorted(s.viewed) for s in sessions]

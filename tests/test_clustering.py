@@ -294,7 +294,7 @@ class TestFrontier:
         assert calls == [(os.getpid(), [])] * 3
 
     def test_rejects_p_below_2_before_any_work(self, monkeypatch):
-        monkeypatch.setattr("interference_lab.clustering._graph",
+        monkeypatch.setattr("interference_lab.clustering.build_graph",
                             lambda *a: pytest.fail("the graph was built"))
         monkeypatch.setattr("interference_lab.clustering._louvain",
                             lambda *a: pytest.fail("Louvain started"))

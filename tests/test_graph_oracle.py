@@ -37,14 +37,7 @@ from interference_lab import (
     read_sessions,
 )
 from interference_lab import clickstream
-from interference_lab.clickstream import (
-    _csr,
-    _exposure,
-    _generate,
-    _graph,
-    _read_csr,
-    write_sessions,
-)
+from interference_lab.clickstream import write_sessions
 from interference_lab.clustering import _louvain
 from interference_lab.demand import csv_records
 
@@ -363,8 +356,14 @@ def test_louvain_clusters_are_connected(sessions, seed, gamma):
         assert nx.is_connected(nxg.subgraph(np.flatnonzero(part.cluster_of == c).tolist()))
 
 
+def _read_csr(path, n_articles=None):
+    """(ids, indptr, article) of ``read_sessions``."""
+    sessions = read_sessions(path, n_articles)
+    return sessions.ids, sessions.indptr, sessions.article
+
+
 def reference_read_sessions(path, n_articles=None):
-    """The dict-of-sets reader that ``clickstream._read_csr`` replaced: [(id, article set)]."""
+    """The dict-of-sets reader that the CSR reader replaced: [(id, article set)]."""
     path = Path(path)
     grouped = {}
     with path.open(newline="", encoding="utf-8") as fh:
@@ -436,7 +435,7 @@ def test_csr_reader_matches_dict_of_sets_reader(rows, declared):
     assert ids == [sid for sid, _ in expected]
     assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
         [sorted(v) for _, v in expected]
-    assert sessions == [Session(sid, frozenset(v)) for sid, v in expected]
+    assert list(sessions) == [Session(sid, frozenset(v)) for sid, v in expected]
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +463,7 @@ def test_csr_reader_bounds_undeclared_ids_by_int64(tmp_path):
 
 def test_csr_reader_on_empty_and_header_only_files(tmp_path):
     path = tmp_path / "clicks.csv"
-    for text, ids in [("", None), ("session_id,article_id\n", []),
+    for text, ids in [("", []), ("session_id,article_id\n", []),
                       ("session_id,article_id\n\n\n", [])]:
         path.write_text(text)
         got, indptr, article = _read_csr(path)
@@ -592,7 +591,7 @@ class TestArrayParser:
 
 
 def reference_generate_sessions(partition, n_sessions, views_min, views_max, purity, seed):
-    """The frozenset comprehension that ``clickstream._generate`` replaced, same RNG calls."""
+    """The frozenset comprehension that ``generate_sessions`` replaced, same RNG calls."""
     rng = np.random.default_rng(seed)
     n = partition.n
     k = partition.n_clusters
@@ -627,14 +626,14 @@ def test_generate_matches_frozenset_reference(labels, n_sessions, bounds, purity
     part = Partition.from_labels(labels)
     args = (part, n_sessions, *bounds, purity, seed)
     expected = reference_generate_sessions(*args)
-    assert generate_sessions(*args) == expected
+    sessions = generate_sessions(*args)
+    assert list(sessions) == expected
 
-    indptr, article = _generate(*args)
+    indptr, article = sessions.indptr, sessions.article
     assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
         [sorted(s.viewed) for s in expected]
-    ref_indptr, ref_article = _csr(expected, N)
-    got, want = _graph(indptr, article, N), _graph(ref_indptr, ref_article, N)
+    got, want = build_graph(sessions, N), build_graph(expected, N)
     for attr in ("src", "dst", "w"):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-    treated = np.array(treated)
-    assert _exposure(indptr, article, treated) == _exposure(ref_indptr, ref_article, treated)
+    assignment = Assignment(np.array(treated))
+    assert exposure_share(sessions, assignment) == exposure_share(expected, assignment)
