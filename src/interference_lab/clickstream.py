@@ -97,7 +97,7 @@ class Clickstream:
             for s in sessions:
                 # Converting 1.5 or True to int64 would silently make them articles 1.
                 if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                           for a in s.viewed):
+                           and -2**63 <= a < 2**63 for a in s.viewed):
                     raise ValueError(f"session {s.session_id}: article ids must be integers")
                 ids.append(s.session_id)
                 lengths.append(len(s.viewed))
@@ -232,16 +232,14 @@ def read_sessions(path, n_articles: int | None = None) -> Clickstream:
     path = Path(path)
     # Ids must fit in int64 even when no article count is declared.
     limit = 2**63 if n_articles is None else n_articles
-    empty = path.stat().st_size == 0
-    parsed = None if empty else _read_plain(path, limit)
-    codes, code, article = parsed or _read_rows(path, limit, empty)
+    codes, code, article = _read_plain(path, limit) or _read_rows(path, limit)
     # Ranking the ids first keeps the (session, rank) key far below 2**63.
     ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
     indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
     return Clickstream(list(codes), indptr, ids[rank])
 
 
-def _read_rows(path: Path, limit: int, empty: bool):
+def _read_rows(path: Path, limit: int):
     """(codes, code, article), read record by record with ``csv_records``.
 
     Row i viewed ``article[i]`` in session ``code[i]``; ``codes`` numbers the
@@ -249,7 +247,7 @@ def _read_rows(path: Path, limit: int, empty: bool):
     """
     codes: dict[str, int] = {}
     code, article = array("q"), array("q")
-    for line, (sid, raw) in () if empty else csv_records(path, CLICKSTREAM_HEADER):
+    for line, (sid, raw) in csv_records(path, CLICKSTREAM_HEADER):
         try:
             a = int(raw)
         except ValueError:
@@ -268,20 +266,21 @@ _BLOCK = 1 << 18
 def _read_plain(path: Path, limit: int):
     """``_read_rows``' result for a plain file, parsed a block at a time as arrays; None otherwise.
 
-    A plain file is ASCII with ``\\n`` line ends and no ``"``, carriage return
-    or NUL; its first line is exactly the header, and every other line is
-    ``<id>,<1 to 18 digits>`` with each field within ``csv.field_size_limit()``
-    and each article id below ``limit``. The csv module reads such a file
-    as the split at the comma, so both readers give the same rows.
+    An empty file has no rows. Any other plain file is ASCII with ``\\n`` line ends
+    and no ``"``, carriage return or NUL; its first line is exactly the header, and
+    every other line is ``<id>,<1 to 18 digits>`` with each field within
+    ``csv.field_size_limit()`` and each article id below ``limit``. The csv module
+    reads such a file as the split at the comma, so both readers give the same rows.
     """
     codes: dict[str, int] = {}
     code, article = array("q"), array("q")
     field_limit = csv.field_size_limit()
-    if max(map(len, CLICKSTREAM_HEADER)) > field_limit:
-        return None
     header = (",".join(CLICKSTREAM_HEADER) + "\n").encode()
     with path.open("rb") as fh:
-        if fh.readline(len(header)) != header:
+        first = fh.readline(len(header))
+        if not first:
+            return codes, code, article
+        if first != header or max(map(len, CLICKSTREAM_HEADER)) > field_limit:
             return None
         rest = b""
         while chunk := fh.read(_BLOCK):

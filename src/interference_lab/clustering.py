@@ -18,9 +18,9 @@ loses a node; partitions are those of visiting every node. The levels stop at
 one that moves no node, leaves one community or leaves no edge between two.
 
 Local moving takes a tuple of gammas and gives up at the first visit where
-their verdicts differ. ``frontier`` runs the levels its gammas share once,
-then each gamma alone from the start of the first level where they differ;
-``louvain`` is the one-gamma case.
+their verdicts differ. ``_louvain`` returns one partition per gamma: it runs
+the levels its gammas share once, then resumes each gamma alone from the
+start of the first level where they differ. ``louvain`` is the one-gamma case.
 """
 
 from __future__ import annotations
@@ -162,12 +162,12 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
 
 
 def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
-             state: tuple | None = None) -> tuple[Partition | None, tuple | None]:
-    """Louvain levels for all ``gammas`` together, from the first level or ``state``.
+             state: tuple | None = None) -> list[Partition]:
+    """Each gamma's ``louvain`` partition, in the order of ``gammas``.
 
-    Returns (partition, None) if the gammas agree to the end, else (None, the
-    src, dst, w, k, membership and RNG state at the start of the first level
-    where they differ), from which each gamma resumes alone as in ``louvain``.
+    The levels run for all gammas together, from the first level or ``state``.
+    At the first visit where their verdicts differ, each gamma resumes alone
+    from the src, dst, w, k, membership and RNG state at the start of that level.
     """
     m = graph.total_weight
     if m <= 0:
@@ -179,7 +179,7 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
         start = (src, dst, w, k, membership, rng.bit_generator.state)
         comm = _local_move(src, dst, w, k, m, gammas, rng)
         if comm is None:
-            return None, start
+            return [_louvain(graph, (gamma,), seed, start)[0] for gamma in gammas]
         # membership maps original node -> current-level node; comm now maps
         # current-level node -> aggregated node, so compose them.
         labels, comm = np.unique(comm, return_inverse=True)
@@ -206,7 +206,7 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
         np.minimum.at(low, b, piece[a])
         low = low[low]
         if (low == piece).all():
-            return Partition.from_labels(piece), None
+            return [Partition.from_labels(piece)] * len(gammas)
         piece = low
 
 
@@ -230,8 +230,8 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
     cluster-randomizing on the inferred partition. Rows are sorted by gamma.
-    Louvain runs in this process: the levels all gammas share once, then each
-    gamma alone from the first level where their moves differ. Then one map over
+    Louvain runs in this process, in one ``_louvain`` call over all gammas,
+    which shares the levels where their moves agree. Then one map over
     ``workers`` processes runs the Monte-Carlo draws of every gamma with >= 2
     clusters; each draw is seeded by its index, so the rows are the same for
     any worker count.
@@ -250,11 +250,8 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
     for _, gamma in order:
         _check_gamma(gamma)
     graph = build_graph(sessions, system.n)
-    shared, state = _louvain(graph, tuple(g for _, g in order), seed)
-    parts = [shared if state is None else _louvain(graph, (gamma,), seed, state)[0]
-             for _, gamma in order]
     points, runs = [], []
-    for (idx, gamma), part in zip(order, parts):
+    for (idx, gamma), part in zip(order, _louvain(graph, tuple(g for _, g in order), seed)):
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
         if k >= 2:

@@ -168,27 +168,25 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     return Estimate(lift)
 
 
-def _draw_chunk(system, strategy, metric, master, experiments, ks) -> list[tuple]:
-    """Lifts of draws ks, one per experiment ``(policy, stream, sigma)`` in each.
+def _draw_chunk(system, strategy, metric, master, policy, noise, ks) -> list[float]:
+    """Lifts of draws ks of one experiment; ``noise`` is None or ``(stream, sigma)``.
 
-    Without a stream, draw k assigns from the RNG seeded ``[*master, k]``. With
-    stream s, it assigns from ``[*master, k, s]`` and multiplies realized
-    quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, s + 1]``.
+    Without noise, draw k assigns from the RNG seeded ``[*master, k]``. With
+    noise, it assigns from ``[*master, k, stream]`` and multiplies realized
+    quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, stream + 1]``.
     """
     out = []
     # ``_map_draws`` checks the lifts; the error state must be set here, in the worker.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in ks:
-            lifts = []
-            for policy, stream, sigma in experiments:
-                seed, noise = [*master, int(k)], None
-                if stream is not None:
-                    noise_rng = np.random.default_rng(seed + [stream + 1])
-                    noise = np.exp(noise_rng.normal(0.0, sigma, system.n))
-                    seed.append(stream)
-                a = assign(strategy, system.n, np.random.default_rng(seed))
-                lifts.append(run_experiment(system, a, policy, metric, noise=noise).lift)
-            out.append(tuple(lifts))
+            seed, factor = [*master, int(k)], None
+            if noise is not None:
+                stream, sigma = noise
+                noise_rng = np.random.default_rng(seed + [stream + 1])
+                factor = np.exp(noise_rng.normal(0.0, sigma, system.n))
+                seed.append(stream)
+            a = assign(strategy, system.n, np.random.default_rng(seed))
+            out.append(run_experiment(system, a, policy, metric, noise=factor).lift)
     return out
 
 
@@ -223,21 +221,20 @@ def _check_p(p: int) -> None:
 
 
 def _map_draws(tasks: list[tuple], p: int, workers: int) -> list[np.ndarray]:
-    """Lifts of draws 0..p-1 of each task, one row per experiment of the task.
+    """Lifts of draws 0..p-1 of each task, one vector per task.
 
-    A task is ``(system, strategy, metric, master, experiments)``, as
-    ``_draw_chunk`` takes it; the chunks of every task go to one ``_parallel_map``.
+    A task is one experiment ``(system, strategy, metric, master, policy, noise)``,
+    as ``_draw_chunk`` takes it; the chunks of every task go to one ``_parallel_map``.
     """
     _check_p(p)
     # Four chunks per process of the pool, which ``_parallel_map`` caps at ``usable_cpus()``.
     chunks = np.array_split(np.arange(p), max(1, min(4 * min(workers, usable_cpus()), p)))
     parts = iter(_parallel_map(_draw_chunk, [(*task, ks) for task in tasks for ks in chunks],
                                workers))
-    out = [np.asarray([x for _ in chunks for x in next(parts)]).T for _ in tasks]
-    for lifts, (*_, experiments) in zip(out, tasks):
+    out = [np.asarray([x for _ in chunks for x in next(parts)]) for _ in tasks]
+    for lifts, (*_, noise) in zip(out, tasks):
         if not np.isfinite(lifts).all():
-            cause = ("the policy or noise_sigma is" if any(sigma for _, _, sigma in experiments)
-                     else "the policy is")
+            cause = "the policy or noise_sigma is" if noise and noise[1] else "the policy is"
             raise ValueError(f"an experiment estimate is not finite: {cause} out of "
                              "floating-point range for this system")
     return out
@@ -279,9 +276,9 @@ def _bias_reports(runs, policy: PricePolicy, metric: Metric, p: int,
     gtes = [global_treatment_effect(system, policy, metric) for system, _, _ in runs]
     # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
     masters = [[int(s) for s in np.array(master, dtype=object, ndmin=1)] for *_, master in runs]
-    tasks = [(system, strategy, metric, master, [(policy, None, None)])
+    tasks = [(system, strategy, metric, master, policy, None)
              for (system, strategy, _), master in zip(runs, masters)]
-    return [_bias_report(estimates, gte, master[0]) for (estimates,), gte, master
+    return [_bias_report(estimates, gte, master[0]) for estimates, gte, master
             in zip(_map_draws(tasks, p, workers), gtes, masters)]
 
 
@@ -349,8 +346,8 @@ def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
-    runs = [(PricePolicy(1.0), 0, noise_sigma), (policy, 2, noise_sigma)]
-    [(aa, treated)] = _map_draws([(system, strategy, metric, [seed], runs)], p, workers)
+    aa, treated = _map_draws([(system, strategy, metric, [seed], arm, (stream, noise_sigma))
+                              for arm, stream in [(PricePolicy(1.0), 0), (policy, 2)]], p, workers)
     aa_sd = float(aa.std(ddof=1))
     defined = aa_sd != 0.0
     coverage_rate = mean_z = float("nan")

@@ -97,6 +97,20 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
 
+    @pytest.mark.parametrize("article", [2**63, -2**63 - 1, np.uint64(2**63)])
+    def test_article_ids_outside_int64_rejected(self, article):
+        sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
+        message = "^session b: article ids must be integers$"
+        with pytest.raises(ValueError, match=message):
+            build_graph(sessions)
+        with pytest.raises(ValueError, match=message):
+            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+        # The int64 extremes are ids, which the article range then rejects.
+        extreme = 2**63 - 1 if article > 0 else -2**63
+        sessions[1] = Session("b", frozenset({extreme, 4}))
+        with pytest.raises(ValueError, match=f"^session b: article {extreme} is not among"):
+            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+
     def test_numpy_integer_ids_are_articles(self):
         sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
         assert build_graph(sessions).edges == {(0, 2): 1}

@@ -55,6 +55,36 @@ def best_partition_q(graph: SessionGraph, gamma: float = 1.0) -> float:
     return best
 
 
+def spy_on_levels(monkeypatch) -> list[tuple[int, bool]]:
+    """(k, whether it returned None) of each later ``_local_move`` call."""
+    calls = []
+    local_move = clustering._local_move
+
+    def spy(*args):
+        comm = local_move(*args)
+        calls.append((args[3], comm is None))
+        return comm
+
+    monkeypatch.setattr(clustering, "_local_move", spy)
+    return calls
+
+
+def split_level(calls, n_gammas: int) -> int | None:
+    """The k of the level where one ``_louvain`` call's gammas differ; None if they never do.
+
+    Within one run of levels each has fewer nodes than the last, so after the
+    call that gave up, a call whose k is not below the one before starts a
+    gamma's resume: there must be one per gamma, each at the level that gave up.
+    """
+    gave_up = [i for i, (_, none) in enumerate(calls) if none]
+    if not gave_up:
+        return None
+    [i] = gave_up
+    starts = [k for (before, _), (k, _) in zip(calls[i:], calls[i + 1:]) if k >= before]
+    assert starts == [calls[i][0]] * n_gammas
+    return calls[i][0]
+
+
 class TestModularity:
     def test_two_triangles_true_partition(self):
         part = Partition(np.array([0, 0, 0, 1, 1, 1]))
@@ -257,14 +287,16 @@ class TestFrontier:
 
     @pytest.mark.parametrize("gammas,split_level_size", [((50.0, 10.0), 60), ((2.0, 0.8), None)],
                              ids=["split-at-level-1", "never-split"])
-    def test_shared_louvain_rows_match_separate_calls(self, gammas, split_level_size):
+    def test_shared_louvain_rows_match_separate_calls(self, gammas, split_level_size,
+                                                      monkeypatch):
         cfg = GeneratorConfig(n=60, cluster_size_min=4, cluster_size_max=8,
                               within_share=0.3, background_share=0.05)
         system = generate_demand_system(cfg, seed=51)
         sessions = generate_sessions(system.partition, 1500, 2, 4, purity=0.9, seed=52)
         graph = build_graph(sessions, n=system.n)
-        state = _louvain(graph, tuple(sorted(gammas)), 53)[1]
-        assert (None if state is None else state[3]) == split_level_size
+        levels = spy_on_levels(monkeypatch)
+        _louvain(graph, tuple(sorted(gammas)), 53)
+        assert split_level(levels, len(gammas)) == split_level_size
         kwargs = dict(gammas=list(gammas), policy=PricePolicy(0.9), metric=Metric.UNITS,
                       p=10, seed=53, exposure_draws=4)
         rows = {w: [astuple(pt) for pt in frontier(system, sessions, workers=w, **kwargs)]

@@ -123,9 +123,9 @@ def test_draw_chunk_keeps_the_per_draw_seeds(n, system_seed, seed, level, metric
     system = draw_system(n, system_seed)
     strategy, policy = draw_strategy(system, level), PricePolicy(multiplier)
     ks = np.asarray(ks)
-    estimates = _draw_chunk(system, strategy, metric, [seed, 1], [(policy, None, None)], ks)
-    assert [x for (x,) in estimates] == \
+    assert _draw_chunk(system, strategy, metric, [seed, 1], policy, None, ks) == \
         reference_estimate_chunk(system, strategy, policy, metric, [seed, 1], ks)
-    runs = [(PricePolicy(1.0), 0, 0.05), (policy, 2, 0.05)]
-    assert _draw_chunk(system, strategy, metric, [seed], runs, ks) == \
+    aa = _draw_chunk(system, strategy, metric, [seed], PricePolicy(1.0), (0, 0.05), ks)
+    treated = _draw_chunk(system, strategy, metric, [seed], policy, (2, 0.05), ks)
+    assert list(zip(aa, treated)) == \
         reference_coverage_chunk(system, strategy, policy, metric, seed, 0.05, ks)

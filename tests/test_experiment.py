@@ -342,24 +342,24 @@ class TestMapDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_task_of_a_mixed_batch_gets_its_own_lifts(self, small_system, workers):
         # Coverage's A/A and treated runs, then one bias run.
-        coverage = (small_system, ArticleLevel(), Metric.UNITS, [4],
-                    [(PricePolicy(1.0), 0, 0.05), (PricePolicy(0.95), 2, 0.05)])
-        bias = (small_system, ClusterLevel(small_system.partition), Metric.UNITS, [4, 1, 2],
-                [(PricePolicy(0.95), None, None)])
-        batched = _map_draws([coverage, bias], 30, workers)
-        assert [lifts.shape for lifts in batched] == [(2, 30), (1, 30)]
-        for lifts, task in zip(batched, [coverage, bias]):
+        tasks = [(small_system, ArticleLevel(), Metric.UNITS, [4], PricePolicy(1.0), (0, 0.05)),
+                 (small_system, ArticleLevel(), Metric.UNITS, [4], PricePolicy(0.95), (2, 0.05)),
+                 (small_system, ClusterLevel(small_system.partition), Metric.UNITS, [4, 1, 2],
+                  PricePolicy(0.95), None)]
+        batched = _map_draws(tasks, 30, workers)
+        assert [lifts.shape for lifts in batched] == [(30,)] * 3
+        for lifts, task in zip(batched, tasks):
             np.testing.assert_array_equal(lifts, _map_draws([task], 30, workers)[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("run,cause", [
-        ((PricePolicy(1e-110), None, None), "the policy is"),
-        ((PricePolicy(0.95), 0, 1e300), "the policy or noise_sigma is")],
+        ((PricePolicy(1e-110), None), "the policy is"),
+        ((PricePolicy(0.95), (0, 1e300)), "the policy or noise_sigma is")],
         ids=["policy", "noise"])
     def test_a_non_finite_second_task_is_its_own_error(self, small_system, workers, run,
                                                        cause):
-        fine = (small_system, ArticleLevel(), Metric.UNITS, [1], [(PricePolicy(0.95), None, None)])
-        bad = (small_system, ArticleLevel(), Metric.UNITS, [2], [run])
+        fine = (small_system, ArticleLevel(), Metric.UNITS, [1], PricePolicy(0.95), None)
+        bad = (small_system, ArticleLevel(), Metric.UNITS, [2], *run)
         errors = []
         for tasks in ([bad], [fine, bad]):
             with pytest.raises(ValueError, match=f"^an experiment estimate is not finite: {cause} "

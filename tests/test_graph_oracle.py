@@ -40,6 +40,7 @@ from interference_lab import clickstream
 from interference_lab.clickstream import write_sessions
 from interference_lab.clustering import _louvain
 from interference_lab.demand import csv_records
+from tests.test_clustering import split_level, spy_on_levels
 
 N = 40
 # Short sessions (including single views) mixed with sessions of 30+ views.
@@ -225,14 +226,6 @@ gamma_sets = st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 50.0, 200.0]),
                       min_size=2, max_size=4).map(tuple)
 
 
-def shared_partitions(graph, gammas, seed):
-    """Each gamma's partition from one shared run, resumed alone where the gammas differ."""
-    shared, state = _louvain(graph, gammas, seed)
-    if state is None:
-        return [shared] * len(gammas)
-    return [_louvain(graph, (gamma,), seed, state)[0] for gamma in gammas]
-
-
 @settings(max_examples=80, deadline=None)
 @given(sessions=sparse_session_lists, seed=st.integers(0, 2**16), gammas=gamma_sets,
        n=article_counts)
@@ -244,32 +237,32 @@ def shared_partitions(graph, gammas, seed):
 def test_shared_levels_match_separate_louvain_calls(sessions, seed, gammas, n):
     g = build_graph(sessions, n=n)
     assume(g.total_weight > 0)
-    for gamma, part in zip(gammas, shared_partitions(g, gammas, seed)):
+    for gamma, part in zip(gammas, _louvain(g, gammas, seed)):
         np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, seed).cluster_of)
 
 
-def test_shared_levels_stop_at_the_start_of_the_first_level_that_differs():
+def test_shared_levels_stop_at_the_start_of_the_first_level_that_differs(monkeypatch):
     g = build_graph(CLIQUE_AND_PAIR, n=N)
-    part, state = _louvain(g, (50.0, 200.0), 3)
-    src, dst, w, k, membership, bits = state
-    assert part is None and k == N
-    np.testing.assert_array_equal(membership, np.arange(N))
-    np.testing.assert_array_equal(np.stack([src, dst, w]), np.stack([g.src, g.dst, g.w]))
-    assert bits == np.random.default_rng(3).bit_generator.state
-    # One gamma, or repeats of one, never differ; these two agree to the end.
-    for gammas in [(50.0,), (1.0, 1.0), (4.0, 16.0)]:
-        part, state = _louvain(g, gammas, 3)
-        assert state is None
-        np.testing.assert_array_equal(part.cluster_of, louvain(g, gammas[0], 3).cluster_of)
+    levels = spy_on_levels(monkeypatch)
+    # One gamma, or repeats of one, never differ; (4, 16) agree to the end.
+    for gammas, split in [((50.0, 200.0), N), ((50.0,), None), ((1.0, 1.0), None),
+                          ((4.0, 16.0), None)]:
+        levels.clear()
+        parts = _louvain(g, gammas, 3)
+        assert split_level(levels, len(gammas)) == split
+        for gamma, part in zip(gammas, parts):
+            np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, 3).cluster_of)
 
 
-def test_shared_levels_resume_from_an_aggregated_level():
+def test_shared_levels_resume_from_an_aggregated_level(monkeypatch):
     system = generate_demand_system(GeneratorConfig(n=2000), 1)
     g = build_graph(generate_sessions(system.partition, 6000, 2, 5, 0.9, 1), n=2000)
     gammas = (0.5, 1.0, 4.0)
+    levels = spy_on_levels(monkeypatch)
+    parts = _louvain(g, gammas, 1)
     # The gammas share level 1 and first differ on level 2's 177 nodes.
-    assert _louvain(g, gammas, 1)[1][3] == 177
-    for gamma, part in zip(gammas, shared_partitions(g, gammas, 1)):
+    assert split_level(levels, len(gammas)) == 177
+    for gamma, part in zip(gammas, parts):
         np.testing.assert_array_equal(part.cluster_of, louvain(g, gamma, 1).cluster_of)
 
 
@@ -570,6 +563,18 @@ class TestArrayParser:
             csv.field_size_limit(limit)
         assert got.endswith("field larger than field limit (9)")
         assert spy == [tmp_path / "clicks.csv"]
+
+    def test_an_empty_file_is_empty_under_a_lowered_csv_limit(self, tmp_path, spy):
+        # The header would exceed the limit, so the empty check must come first.
+        path = tmp_path / "clicks.csv"
+        path.write_bytes(b"")
+        limit = csv.field_size_limit(9)
+        try:
+            sessions = read_sessions(path)
+        finally:
+            csv.field_size_limit(limit)
+        assert (sessions.ids, sessions.indptr.tolist(), sessions.article.tolist()) == ([], [0], [])
+        assert spy == []
 
     def test_sessions_spanning_blocks_match_the_row_loop(self, tmp_path, monkeypatch, spy):
         sessions = generate_sessions(Partition(np.arange(N) % 5), 300, 1, 6, 0.5, seed=4)

@@ -96,7 +96,7 @@ def test_limit_predicts_criterion_9_mean_z():
     report = coverage_analysis(strong, ArticleLevel(), policy, metric, p=p, seed=77,
                                noise_sigma=sigma)
     # The treated run's draws, to size the Monte-Carlo SE of mean_z.
-    [(treated,)] = _map_draws([(strong, ArticleLevel(), metric, [77], [(policy, 2, sigma)])], p, 1)
+    [treated] = _map_draws([(strong, ArticleLevel(), metric, [77], policy, (2, sigma))], p, 1)
     z = (treated - report.gte) / report.aa_sd
     assert z.mean() == pytest.approx(report.mean_z, rel=1e-12)
     predicted = (limit_lift(strong, policy, metric, "article") - report.gte) / report.aa_sd
