@@ -2,7 +2,6 @@
 
 from .demand import (
     DemandSystem,
-    ElasticityStructure,
     GeneratorConfig,
     Metric,
     Partition,

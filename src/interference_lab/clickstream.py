@@ -95,10 +95,12 @@ class Clickstream:
         if not isinstance(sessions, Clickstream):
             ids, lengths, views = [], [0], []
             for s in sessions:
-                # Converting 1.5 or True to int64 would silently make them articles 1.
-                if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                           and -2**63 <= a < 2**63 for a in s.viewed):
-                    raise ValueError(f"session {s.session_id}: article ids must be integers")
+                for a in s.viewed:
+                    # Converting 1.5 or True to int64 would silently make them articles 1.
+                    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+                        raise ValueError(f"session {s.session_id}: article ids must be integers")
+                    if not -2**63 <= a < 2**63:
+                        raise ValueError(f"session {s.session_id}: article id {a} is outside int64")
                 ids.append(s.session_id)
                 lengths.append(len(s.viewed))
                 views += sorted(s.viewed)

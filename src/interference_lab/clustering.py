@@ -19,7 +19,7 @@ one that moves no node, leaves one community or leaves no edge between two.
 
 Local moving takes a tuple of gammas and gives up at the first visit where
 their verdicts differ. ``_louvain`` returns one partition per gamma: it runs
-the levels its gammas share once, then resumes each gamma alone from the
+the levels its gammas share once, then resumes each distinct gamma from the
 start of the first level where they differ. ``louvain`` is the one-gamma case.
 """
 
@@ -166,7 +166,7 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
     """Each gamma's ``louvain`` partition, in the order of ``gammas``.
 
     The levels run for all gammas together, from the first level or ``state``.
-    At the first visit where their verdicts differ, each gamma resumes alone
+    At the first visit where their verdicts differ, each distinct gamma resumes once
     from the src, dst, w, k, membership and RNG state at the start of that level.
     """
     m = graph.total_weight
@@ -179,7 +179,8 @@ def _louvain(graph: SessionGraph, gammas: tuple[float, ...], seed: int,
         start = (src, dst, w, k, membership, rng.bit_generator.state)
         comm = _local_move(src, dst, w, k, m, gammas, rng)
         if comm is None:
-            return [_louvain(graph, (gamma,), seed, start)[0] for gamma in gammas]
+            alone = {g: _louvain(graph, (g,), seed, start)[0] for g in dict.fromkeys(gammas)}
+            return [alone[g] for g in gammas]
         # membership maps original node -> current-level node; comm now maps
         # current-level node -> aggregated node, so compose them.
         labels, comm = np.unique(comm, return_inverse=True)

@@ -8,12 +8,13 @@ small nonnegative background coefficient between clusters. Every
 counterfactual, including the global treatment effect of a full roll-out, is
 therefore computable exactly.
 
-The structured representation (own vector, per-cluster beta, scalar
-background) evaluates in O(n); ``dense_oracle`` materializes E and serves as
-a brute-force cross-check. Every other module imports this one, so it also
-holds their file helpers: ``read_json`` and ``csv_records`` read every JSON
-and CSV input, ``write_csv`` writes every CSV output (rows as given; ``reports``
-spells its floats first), and ``atomic_write`` replaces each output whole.
+A ``DemandSystem`` holds E flat, as the system JSON does: ``own``, the
+per-cluster ``within`` (the JSON's ``within_beta``), ``background`` and the
+``partition``; it evaluates in O(n), and ``dense_oracle`` materializes E as a
+brute-force cross-check. Every other module imports this one, so it also holds
+their file helpers: ``read_json`` and ``csv_records`` read every JSON and CSV
+input, ``write_csv`` writes every CSV output (rows as given; ``reports`` spells
+its floats first), and ``atomic_write`` replaces each output whole.
 """
 
 from __future__ import annotations
@@ -151,19 +152,24 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class ElasticityStructure:
-    """Structured near-block-diagonal elasticity matrix.
+class DemandSystem:
+    """Base prices and quantities plus the elasticity matrix; the counterfactual oracle.
 
     ``own[i]`` is article i's own-price elasticity (strictly negative),
-    ``within[c]`` the cross-price elasticity between any two distinct
-    articles of cluster c, and ``background`` the cross-price elasticity
-    between articles of different clusters.
+    ``within[c]`` (the JSON's ``within_beta``) the cross-price elasticity
+    between any two distinct articles of cluster c of ``partition``, and
+    ``background`` the cross-price elasticity between articles of different
+    clusters. ``generate_demand_system`` records its ``seed`` and ``config``.
     """
 
+    base_prices: np.ndarray
+    base_quantities: np.ndarray
     own: np.ndarray
     within: np.ndarray
     background: float
     partition: Partition
+    seed: int | None = None
+    config: "GeneratorConfig | None" = None
 
     def __post_init__(self):
         own = np.asarray(self.own, dtype=float)
@@ -181,8 +187,7 @@ class ElasticityStructure:
         if not 0 <= self.background < math.inf:
             raise ValueError(f"background elasticity must be finite and >= 0, "
                              f"not {self.background}")
-        sizes = self.partition.sizes()
-        multi = sizes > 1
+        multi = self.partition.sizes() > 1
         if not (np.isfinite(within) & (within >= 0)).all():
             raise ValueError("within-cluster elasticities (within_beta) must be finite "
                              "and >= 0")
@@ -191,6 +196,15 @@ class ElasticityStructure:
         # meaningful in fully interference-free systems (background == 0).
         if self.background > 0 and (within[multi] < self.background).any():
             raise ValueError("within-cluster elasticity must be >= background")
+        p = np.asarray(self.base_prices, dtype=float)
+        q = np.asarray(self.base_quantities, dtype=float)
+        object.__setattr__(self, "base_prices", p)
+        object.__setattr__(self, "base_quantities", q)
+        if p.shape != (n,) or q.shape != (n,):
+            raise ValueError("base prices/quantities must match article count")
+        if not (np.isfinite(p) & (p > 0) & np.isfinite(q) & (q > 0)).all():
+            raise ValueError("base prices and quantities (base_prices, base_quantities) "
+                             "must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -209,46 +223,15 @@ class ElasticityStructure:
         np.fill_diagonal(e, self.own)
         return e
 
-
-@dataclass(frozen=True)
-class DemandSystem:
-    """Base prices/quantities plus the elasticity structure; the counterfactual oracle."""
-
-    base_prices: np.ndarray
-    base_quantities: np.ndarray
-    elasticity: ElasticityStructure
-    seed: int | None = None
-    config: "GeneratorConfig | None" = None
-
-    def __post_init__(self):
-        p = np.asarray(self.base_prices, dtype=float)
-        q = np.asarray(self.base_quantities, dtype=float)
-        object.__setattr__(self, "base_prices", p)
-        object.__setattr__(self, "base_quantities", q)
-        n = self.elasticity.n
-        if p.shape != (n,) or q.shape != (n,):
-            raise ValueError("base prices/quantities must match article count")
-        if not (np.isfinite(p) & (p > 0) & np.isfinite(q) & (q > 0)).all():
-            raise ValueError("base prices and quantities (base_prices, base_quantities) "
-                             "must be finite and strictly positive")
-
-    @property
-    def n(self) -> int:
-        return self.elasticity.n
-
-    @property
-    def partition(self) -> Partition:
-        return self.elasticity.partition
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "seed": self.seed,
             "config": asdict(self.config) if self.config is not None else None,
-            "own": self.elasticity.own.tolist(),
-            "partition": self.elasticity.partition.cluster_of.tolist(),
-            "within_beta": self.elasticity.within.tolist(),
-            "background": self.elasticity.background,
+            "own": self.own.tolist(),
+            "partition": self.partition.cluster_of.tolist(),
+            "within_beta": self.within.tolist(),
+            "background": self.background,
             "base_prices": self.base_prices.tolist(),
             "base_quantities": self.base_quantities.tolist(),
         }
@@ -288,16 +271,13 @@ class DemandSystem:
             partition = Partition(labels)
         except ValueError as exc:
             raise ValueError(f"demand system key 'partition': {exc}") from None
-        elasticity = ElasticityStructure(
+        return cls(
             own=_json_array(d, "own", float),
             within=_json_array(d, "within_beta", float),
             background=float(background),
             partition=partition,
-        )
-        return cls(
             base_prices=_json_array(d, "base_prices", float),
             base_quantities=_json_array(d, "base_quantities", float),
-            elasticity=elasticity,
             seed=seed,
             config=config or None,
         )
@@ -425,12 +405,10 @@ def generate_demand_system(config: GeneratorConfig, seed: int) -> DemandSystem:
     within = np.where(sizes > 1, config.within_share * mass / np.maximum(sizes - 1, 1), 0.0)
     background = config.background_share * mass / n
 
-    elasticity = ElasticityStructure(own=own, within=within,
-                                     background=background, partition=partition)
     prices = rng.uniform(config.price_min, config.price_max, n)
     quantities = rng.uniform(config.quantity_min, config.quantity_max, n)
-    return DemandSystem(base_prices=prices, base_quantities=quantities,
-                        elasticity=elasticity, seed=seed, config=config)
+    return DemandSystem(prices, quantities, own, within, background, partition,
+                        seed=seed, config=config)
 
 
 def _check_multipliers(system: DemandSystem, multipliers) -> np.ndarray:
@@ -446,14 +424,13 @@ def _check_multipliers(system: DemandSystem, multipliers) -> np.ndarray:
 def demand_at(system: DemandSystem, multipliers) -> np.ndarray:
     """Quantities under a multiplier vector, in O(n) via per-cluster log-sums."""
     mu = _check_multipliers(system, multipliers)
-    e = system.elasticity
-    c = e.partition.cluster_of
+    c = system.partition.cluster_of
     logs = np.log(mu)
-    logsum_c = np.bincount(c, weights=logs, minlength=e.partition.n_clusters)[c]
+    logsum_c = np.bincount(c, weights=logs, minlength=system.partition.n_clusters)[c]
     exponent = (
-        e.own * logs
-        + e.within[c] * (logsum_c - logs)
-        + e.background * (logs.sum() - logsum_c)
+        system.own * logs
+        + system.within[c] * (logsum_c - logs)
+        + system.background * (logs.sum() - logsum_c)
     )
     return system.base_quantities * np.exp(exponent)
 
@@ -461,7 +438,7 @@ def demand_at(system: DemandSystem, multipliers) -> np.ndarray:
 def dense_oracle(system: DemandSystem, multipliers) -> np.ndarray:
     """Brute-force demand via the materialized elasticity matrix (n <= 2000)."""
     mu = _check_multipliers(system, multipliers)
-    e = system.elasticity.dense_matrix()
+    e = system.dense_matrix()
     return system.base_quantities * np.exp(e @ np.log(mu))
 
 

@@ -19,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interference_lab import DemandSystem, clickstream, cli, clustering, generate_sessions
+from interference_lab import (
+    DemandSystem,
+    GeneratorConfig,
+    clickstream,
+    cli,
+    clustering,
+    generate_demand_system,
+    generate_sessions,
+)
 from interference_lab.clickstream import write_sessions
 from interference_lab.demand import csv_records
 from interference_lab.reports import (
@@ -1041,6 +1049,20 @@ def test_readme_quick_start_parses():
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv[1:])
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    partition = generate_demand_system(GeneratorConfig(n=200), seed=7).partition
+    write_sessions(generate_sessions(partition, 300, 2, 5, 0.9, 7), tmp_path / "clicks.csv")
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["GTE", "300"]
 
 
 # Each fuzzed flag's values: malformed, out of range, and in range. No value

@@ -100,7 +100,7 @@ class TestClickstream:
     @pytest.mark.parametrize("article", [2**63, -2**63 - 1, np.uint64(2**63)])
     def test_article_ids_outside_int64_rejected(self, article):
         sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
-        message = "^session b: article ids must be integers$"
+        message = f"^session b: article id {article} is outside int64$"
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):

@@ -201,6 +201,20 @@ class TestLouvain:
         labels[[1, 2]], labels[199] = 0, 150
         np.testing.assert_array_equal(part.cluster_of, Partition.from_labels(labels).cluster_of)
 
+    def test_a_repeated_gamma_resumes_once(self, monkeypatch):
+        # Imported here because test_graph_oracle imports this module's spy helpers.
+        from tests.test_graph_oracle import CLIQUE_AND_PAIR, N
+        graph = build_graph(CLIQUE_AND_PAIR, n=N)
+        gammas = (200.0, 50.0, 200.0)
+        levels = spy_on_levels(monkeypatch)
+        parts = _louvain(graph, gammas, 3)
+        # The shared level gives up, then gamma 200 and gamma 50 resume once each.
+        assert len(levels) == 4
+        assert split_level(levels, 2) == N
+        monkeypatch.undo()
+        for gamma, part in zip(gammas, parts):
+            np.testing.assert_array_equal(part.cluster_of, louvain(graph, gamma, 3).cluster_of)
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         graph = two_triangles()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from interference_lab import (
     DemandSystem,
-    ElasticityStructure,
     GeneratorConfig,
     Metric,
     Partition,
@@ -28,16 +27,13 @@ from interference_lab.demand import csv_records
 def make_system(own, labels, within, background=0.0, prices=None, quantities=None):
     part = Partition(np.asarray(labels))
     n = part.n
-    elast = ElasticityStructure(
+    return DemandSystem(
+        base_prices=np.ones(n) if prices is None else np.asarray(prices, float),
+        base_quantities=np.ones(n) if quantities is None else np.asarray(quantities, float),
         own=np.asarray(own, dtype=float),
         within=np.asarray(within, dtype=float),
         background=background,
         partition=part,
-    )
-    return DemandSystem(
-        base_prices=np.ones(n) if prices is None else np.asarray(prices, float),
-        base_quantities=np.ones(n) if quantities is None else np.asarray(quantities, float),
-        elasticity=elast,
     )
 
 
@@ -65,7 +61,7 @@ class TestPartition:
             Partition(np.array([], dtype=np.int64))
 
 
-class TestElasticityStructure:
+class TestElasticities:
     def test_rejects_nonnegative_own(self):
         with pytest.raises(ValueError):
             make_system([-2.0, 0.0], [0, 0], [0.5])
@@ -94,7 +90,7 @@ class TestElasticityStructure:
 
     def test_zero_within_allowed_without_background(self):
         system = make_system([-2.0, -2.0], [0, 0], [0.0], background=0.0)
-        assert system.elasticity.background == 0.0
+        assert system.background == 0.0
 
     def test_dense_matrix_layout(self):
         system = make_system([-2.0, -3.0, -1.5], [0, 0, 1], [0.4, 0.0],
@@ -104,7 +100,7 @@ class TestElasticityStructure:
             [0.4, -3.0, 0.1],
             [0.1, 0.1, -1.5],
         ])
-        np.testing.assert_allclose(system.elasticity.dense_matrix(), expected)
+        np.testing.assert_allclose(system.dense_matrix(), expected)
 
 
 class TestDemandAt:
@@ -176,7 +172,7 @@ class TestGenerator:
         cfg = GeneratorConfig(n=200)
         a = generate_demand_system(cfg, seed=5)
         b = generate_demand_system(cfg, seed=5)
-        np.testing.assert_array_equal(a.elasticity.own, b.elasticity.own)
+        np.testing.assert_array_equal(a.own, b.own)
         np.testing.assert_array_equal(a.partition.cluster_of, b.partition.cluster_of)
         np.testing.assert_array_equal(a.base_prices, b.base_prices)
 
@@ -192,7 +188,7 @@ class TestGenerator:
         cfg = GeneratorConfig(n=300, within_share=0.3, own_mean=-2.5)
         system = generate_demand_system(cfg, seed=7)
         sizes = system.partition.sizes()
-        within = system.elasticity.within
+        within = system.within
         mass = within * np.maximum(sizes - 1, 1)
         # an article's total within-cluster substitution mass is size-invariant
         np.testing.assert_allclose(mass[sizes > 1], 0.3 * 2.5, rtol=1e-12)
@@ -201,11 +197,11 @@ class TestGenerator:
     def test_background_normalization(self):
         cfg = GeneratorConfig(n=400, background_share=0.05, own_mean=-2.5)
         system = generate_demand_system(cfg, seed=7)
-        assert system.elasticity.background == pytest.approx(0.05 * 2.5 / 400)
+        assert system.background == pytest.approx(0.05 * 2.5 / 400)
 
     def test_own_elasticities_in_band(self):
         cfg = GeneratorConfig(n=1000, own_mean=-2.5, own_spread=0.5)
-        own = generate_demand_system(cfg, seed=2).elasticity.own
+        own = generate_demand_system(cfg, seed=2).own
         assert own.min() >= -3.0 and own.max() <= -2.0
 
     def test_config_validation(self):
@@ -226,12 +222,12 @@ class TestSerialization:
         path = tmp_path / "sys.json"
         system.save(path)
         loaded = DemandSystem.load(path)
-        np.testing.assert_array_equal(loaded.elasticity.own, system.elasticity.own)
+        np.testing.assert_array_equal(loaded.own, system.own)
         np.testing.assert_array_equal(loaded.base_prices, system.base_prices)
         np.testing.assert_array_equal(loaded.base_quantities, system.base_quantities)
         np.testing.assert_array_equal(loaded.partition.cluster_of,
                                       system.partition.cluster_of)
-        assert loaded.elasticity.background == system.elasticity.background
+        assert loaded.background == system.background
         assert loaded.seed == system.seed
         assert loaded.config == system.config
 

@@ -27,7 +27,7 @@ from interference_lab.experiment import Estimate, _draw_chunk
 
 
 def reference_demand_at(system, mu):
-    e = system.elasticity
+    e = system
     c = e.partition.cluster_of
     logs = np.log(mu)
     cluster_logsum = np.bincount(c, weights=logs, minlength=e.partition.n_clusters)

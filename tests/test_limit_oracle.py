@@ -44,7 +44,7 @@ C_OVER_N = 0.2
 def limit_lift(system, policy, metric, design):
     """The large-n limit of the mean estimate under ``design`` ("article" or "cluster")."""
     m = policy.treated_multiplier
-    e = system.elasticity
+    e = system
     c = e.partition.cluster_of
     s = e.partition.sizes()[c]
     beta = e.within[c]
