@@ -8,9 +8,10 @@ clustering.
 
 Sessions are held as a ``Clickstream``: one id per session and a CSR view
 (``indptr``, ``article``) of what each viewed. ``generate_sessions`` and
-``read_sessions`` return one; ``build_graph``, ``exposure_share`` and
-``clustering.frontier`` take one, or any iterable of ``Session`` objects,
-which ``Clickstream.of`` converts. Iterating a Clickstream yields its
+``read_sessions`` return one; ``build_graph``, ``exposure_share``,
+``write_sessions`` and ``clustering.frontier`` take one, or any iterable of
+``Session`` objects, which ``Clickstream.of`` converts and checks, so the
+writer rejects what every command rejects. Iterating a Clickstream yields its
 ``Session`` objects. A graph is held as ``src``/``dst``/``w`` edge arrays.
 Weights are int64 counts, so every weight sum is exact whatever its order.
 
@@ -22,8 +23,8 @@ numbers the session ids with ``np.unique`` over fixed-width byte strings. At
 the first block that is not plain it gives up, and ``_read_rows``, the
 ``csv_records`` row loop, reads the file from the start; so every error,
 with its message and line number, comes from the row loop. Both give the
-same arrays. ``write_sessions`` writes ``CLICKSTREAM_HEADER`` files through
-``demand.write_csv``.
+same arrays. ``write_sessions`` writes ``CLICKSTREAM_HEADER`` rows from the
+CSR arrays through ``demand.write_csv``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -328,14 +330,15 @@ def _parse_block(buf: np.ndarray, limit: int, field_limit: int, codes: dict[str,
 
     # The ids of one width, each with its comma, form a fixed-width S array of
     # at most the block's bytes; np.unique codes them without a Python object per row.
-    names, first, groups = [], [], []
+    names, first = [], []
+    name_of = np.empty(ends.size, np.int64)
     by_width = np.argsort(width, kind="stable")
     for rows in np.split(by_width, np.flatnonzero(np.diff(width[by_width])) + 1):
         w = int(width[rows[0]]) + 1
         keys = np.lib.stride_tricks.sliding_window_view(buf, w)[starts[rows]]
         unique, at, inverse = np.unique(keys.view(f"S{w}").ravel(),
                                         return_index=True, return_inverse=True)
-        groups.append((rows, len(names) + inverse))
+        name_of[rows] = len(names) + inverse
         # No id holds a comma, so one split recovers the ids.
         names += unique.tobytes().decode("ascii").split(",")[:-1]
         first.append(rows[at])
@@ -344,18 +347,17 @@ def _parse_block(buf: np.ndarray, limit: int, field_limit: int, codes: dict[str,
     order = np.argsort(np.concatenate(first))
     number = np.empty(len(names), dtype=np.int64)
     number[order] = [codes.setdefault(names[i], len(codes)) for i in order.tolist()]
-    row_code = np.empty(ends.size, dtype=np.int64)
-    for rows, unique_at in groups:
-        row_code[rows] = number[unique_at]
-    code.frombytes(row_code.view(np.uint8))
+    code.frombytes(number[name_of].view(np.uint8))
     article.frombytes(value.view(np.uint8))
     return True
 
 
-def write_sessions(sessions: Iterable[Session], path) -> None:
-    """Write sessions in the clickstream CSV format (sorted article ids per session)."""
-    write_csv(path, CLICKSTREAM_HEADER,
-              ((s.session_id, a) for s in sessions for a in sorted(s.viewed)))
+def write_sessions(sessions: Clickstream | Iterable[Session], path) -> None:
+    """Write sessions as clickstream CSV, one row per view; ``Clickstream.of`` checks them."""
+    sessions = Clickstream.of(sessions)
+    # An id may be any object the csv module can write, so it is repeated, not put in an array.
+    ids = chain.from_iterable(map(repeat, sessions.ids, np.diff(sessions.indptr).tolist()))
+    write_csv(path, CLICKSTREAM_HEADER, zip(ids, sessions.article.tolist()))
 
 
 def build_graph(sessions: Clickstream | Iterable[Session],

@@ -230,12 +230,12 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
 
     Per gamma: cluster the co-view graph, average the exposure share over
     ``exposure_draws`` cluster-level assignments, and Monte-Carlo the bias of
-    cluster-randomizing on the inferred partition. Rows are sorted by gamma.
-    Louvain runs in this process, in one ``_louvain`` call over all gammas,
-    which shares the levels where their moves agree. Then one map over
-    ``workers`` processes runs the Monte-Carlo draws of every gamma with >= 2
-    clusters; each draw is seeded by its index, so the rows are the same for
-    any worker count.
+    cluster-randomizing on the inferred partition. Rows are sorted by gamma. One
+    ``_louvain`` call in this process shares the levels where the gammas' moves
+    agree; then one map over ``workers`` processes runs the Monte-Carlo draws of
+    every gamma with >= 2 clusters. A draw is seeded by its index and its
+    gamma's position in ``gammas``, so no row depends on the worker count, and a
+    repeated gamma is a replicate: same partition, fresh draws.
 
     With the generator's per-article heterogeneity, ``relative_sd`` does not
     rise as gamma falls: partitions that keep true clusters whole spread
@@ -251,7 +251,7 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
     for _, gamma in order:
         _check_gamma(gamma)
     graph = build_graph(sessions, system.n)
-    points, runs = [], []
+    points, tasks = [], []
     for (idx, gamma), part in zip(order, _louvain(graph, tuple(g for _, g in order), seed)):
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
@@ -262,13 +262,13 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
             shares = np.asarray([exposure_share(sessions, a).share_both for a in assignments])
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
-            runs.append((system, strategy, [seed, idx, 2]))
+            tasks.append((system, strategy, metric, [seed, idx, 2], policy, None))
         points.append(FrontierPoint(
             resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
             modularity=modularity(graph, part, gamma), share_both=share_both,
             share_both_sd=share_both_sd, mean_bias=float("nan"), relative_sd=float("nan"),
             defined=k >= 2))
     defined = [i for i, point in enumerate(points) if point.defined]
-    for i, report in zip(defined, _bias_reports(runs, policy, metric, p, workers)):
+    for i, report in zip(defined, _bias_reports(tasks, p, workers)):
         points[i] = replace(points[i], mean_bias=report.mean_bias, relative_sd=report.relative_sd)
     return points

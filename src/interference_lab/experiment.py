@@ -270,16 +270,12 @@ def _bias_report(estimates: np.ndarray, gte: float, seed: int) -> BiasReport:
     )
 
 
-def _bias_reports(runs, policy: PricePolicy, metric: Metric, p: int,
-                  workers: int) -> list[BiasReport]:
-    """One BiasReport per ``(system, strategy, master_seed)`` run, from one ``_map_draws``."""
-    gtes = [global_treatment_effect(system, policy, metric) for system, _, _ in runs]
-    # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
-    masters = [[int(s) for s in np.array(master, dtype=object, ndmin=1)] for *_, master in runs]
-    tasks = [(system, strategy, metric, master, policy, None)
-             for (system, strategy, _), master in zip(runs, masters)]
-    return [_bias_report(estimates, gte, master[0]) for estimates, gte, master
-            in zip(_map_draws(tasks, p, workers), gtes, masters)]
+def _bias_reports(tasks: list[tuple], p: int, workers: int) -> list[BiasReport]:
+    """One BiasReport per ``_map_draws`` task, its seed ``master[0]``, from one ``_map_draws``."""
+    gtes = [global_treatment_effect(system, policy, metric)
+            for system, _, metric, _, policy, _ in tasks]
+    return [_bias_report(estimates, gte, master[0]) for estimates, gte, (_, _, _, master, _, _)
+            in zip(_map_draws(tasks, p, workers), gtes, tasks)]
 
 
 def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
@@ -290,7 +286,9 @@ def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
     Permutation k draws its RNG from (master_seed, k), so the result is
     bit-identical for any worker count.
     """
-    return _bias_reports([(system, strategy, master_seed)], policy, metric, p, workers)[0]
+    # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
+    master = [int(s) for s in np.array(master_seed, dtype=object, ndmin=1)]
+    return _bias_reports([(system, strategy, metric, master, policy, None)], p, workers)[0]
 
 
 def mc_standard_error(report: BiasReport) -> float:
@@ -323,10 +321,10 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
             raise ValueError(f"phi {cfg.within_share}: {exc}") from None
     _check_p(p)
     systems = [generate_demand_system(cfg, seed) for cfg in configs]
-    runs = [(system, ArticleLevel() if label == "article" else ClusterLevel(system.partition),
-             [seed, i, j]) for i, system in enumerate(systems)
-            for j, label in enumerate(strategies)]
-    reports = iter(_bias_reports(runs, policy, metric, p, workers))
+    tasks = [(system, ArticleLevel() if label == "article" else ClusterLevel(system.partition),
+              metric, [seed, i, j], policy, None) for i, system in enumerate(systems)
+             for j, label in enumerate(strategies)]
+    reports = iter(_bias_reports(tasks, p, workers))
     return [SweepRow(phi=cfg.within_share, strategy=label, report=next(reports))
             for cfg in configs for label in strategies]
 

@@ -84,27 +84,37 @@ class TestClickstream:
     def test_empty_sessions_rejected(self, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_text("session_id,article_id\n")
-        for sessions in ([], iter([]), read_sessions(path)):
+        out = tmp_path / "out.csv"
+        for empty in (list, lambda: iter([]), lambda: read_sessions(path)):
             with pytest.raises(ValueError, match="^sessions must be non-empty$"):
-                Clickstream.of(sessions)
+                Clickstream.of(empty())
+            with pytest.raises(ValueError, match="^sessions must be non-empty$"):
+                write_sessions(empty(), out)
+            assert not out.exists()
 
     @pytest.mark.parametrize("article", [1.5, np.float64(2), True, np.bool_(True), "3"])
-    def test_non_integer_article_ids_rejected(self, article):
+    def test_non_integer_article_ids_rejected(self, article, tmp_path):
         sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
         message = "^session b: article ids must be integers$"
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):
             exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+        with pytest.raises(ValueError, match=message):
+            write_sessions(sessions, tmp_path / "clicks.csv")
+        assert not (tmp_path / "clicks.csv").exists()
 
     @pytest.mark.parametrize("article", [2**63, -2**63 - 1, np.uint64(2**63)])
-    def test_article_ids_outside_int64_rejected(self, article):
+    def test_article_ids_outside_int64_rejected(self, article, tmp_path):
         sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
         message = f"^session b: article id {article} is outside int64$"
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):
             exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+        with pytest.raises(ValueError, match=message):
+            write_sessions(sessions, tmp_path / "clicks.csv")
+        assert not (tmp_path / "clicks.csv").exists()
         # The int64 extremes are ids, which the article range then rejects.
         extreme = 2**63 - 1 if article > 0 else -2**63
         sessions[1] = Session("b", frozenset({extreme, 4}))
@@ -241,7 +251,7 @@ class TestSessionIO:
 
         with pytest.raises(RuntimeError, match="writer interrupted"):
             write_sessions([Session("b", frozenset({3})),
-                            Session("c", frozenset({Unprintable()}))], path)
+                            Session(Unprintable(), frozenset({4}))], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
 
@@ -250,10 +260,11 @@ class TestSessionIO:
         path.write_text("")
         assert list(read_sessions(path)) == []
 
-    def test_written_bytes(self, tmp_path):
+    @pytest.mark.parametrize("convert", [list, Clickstream.of])
+    def test_written_bytes(self, convert, tmp_path):
         path = tmp_path / "clicks.csv"
-        write_sessions([Session('a "b", c', frozenset({3, 1})), Session(" d", frozenset({2}))],
-                       path)
+        write_sessions(convert([Session('a "b", c', frozenset({3, 1})),
+                                Session(" d", frozenset({2}))]), path)
         assert path.read_bytes() == (b'session_id,article_id\n"a ""b"", c",1\n'
                                      b'"a ""b"", c",3\n d,2\n')
 
@@ -270,6 +281,11 @@ class TestSessionIO:
         sessions = [Session(sid, viewed) for sid, viewed in drawn]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "clicks.csv"
+            if not sessions:
+                with pytest.raises(ValueError, match="^sessions must be non-empty$"):
+                    write_sessions(sessions, path)
+                assert not path.exists()
+                return
             if any("\r" in s.session_id for s in sessions):
                 # The csv module would leave "\r" unquoted, and a reader would split the row.
                 with pytest.raises(ValueError, match="carriage return"):

@@ -15,7 +15,9 @@ from interference_lab import (
     Partition,
     PricePolicy,
     SessionGraph,
+    assign,
     build_graph,
+    exposure_share,
     frontier,
     generate_demand_system,
     generate_sessions,
@@ -280,6 +282,24 @@ class TestFrontier:
         assert [r[-1] for r in rows[1]] == [False, True, True]
         np.testing.assert_equal(rows[2], rows[1])
         np.testing.assert_equal(rows[3], rows[1])
+
+    def test_a_repeated_gamma_is_a_replicate_row(self):
+        system = generate_demand_system(GeneratorConfig(n=300), 5)
+        sessions = generate_sessions(system.partition, 900, 2, 5, 0.8, 5)
+        gammas, seed, draws = [1.0, 4.0, 1.0], 5, 6
+        points = frontier(system, sessions, gammas, PricePolicy(), Metric.REVENUE, p=4,
+                          seed=seed, exposure_draws=draws)
+        assert [pt.resolution for pt in points] == [1.0, 1.0, 4.0]
+        first, repeat, _ = points
+        assert (first.n_clusters, first.modularity) == (repeat.n_clusters, repeat.modularity)
+        assert first.share_both != repeat.share_both
+        graph = build_graph(sessions, n=system.n)
+        for point, idx in zip(points, [0, 2, 1]):
+            strategy = ClusterLevel(louvain(graph, point.resolution, seed))
+            shares = [exposure_share(sessions, assign(strategy, system.n,
+                                                      np.random.default_rng([seed, idx, 1, d])))
+                      .share_both for d in range(draws)]
+            assert point.share_both == float(np.mean(shares))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_defined_row_is_its_own_monte_carlo_bias(self, workers):
