@@ -13,10 +13,8 @@ from .demand import (
     outcome,
 )
 from .experiment import (
-    ArticleLevel,
     Assignment,
     BiasReport,
-    ClusterLevel,
     CoverageReport,
     Estimate,
     assign,

@@ -215,12 +215,9 @@ def _inputs(args) -> tuple[demand.DemandSystem | None, demand.Partition | None]:
     return system, part
 
 
-def _strategy(args, part: demand.Partition | None):
-    if args.strategy == "article":
-        return experiment.ArticleLevel()
-    if part is None:
-        raise RuntimeError("cluster strategy needs --partition or --system")
-    return experiment.ClusterLevel(part)
+def _strategy(args, part: demand.Partition | None, n: int) -> demand.Partition:
+    """The partition ``--strategy`` randomizes over: ``n`` singletons, or ``part``."""
+    return demand.Partition(np.arange(n)) if args.strategy == "article" else part
 
 
 def _sessions(args, part: demand.Partition | None) -> clickstream.Clickstream:
@@ -257,12 +254,11 @@ def cmd_gen(args) -> None:
 
 def cmd_simulate(args) -> None:
     system, part = _inputs(args)
-    strategy = _strategy(args, part)
     report = experiment.monte_carlo_bias(
-        system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
-        p=args.p, master_seed=args.seed, workers=args.workers)
+        system, _strategy(args, part, system.n), demand.PricePolicy(args.multiplier),
+        demand.Metric(args.metric), p=args.p, master_seed=args.seed, workers=args.workers)
     phi = system.config.within_share if system.config else None
-    reports.write_bias_report(args.out, report, strategy.name, phi=phi)
+    reports.write_bias_report(args.out, report, args.strategy, phi=phi)
 
 
 def cmd_sweep(args) -> None:
@@ -283,10 +279,13 @@ def cmd_cluster(args) -> None:
 
 def cmd_exposure(args) -> None:
     _, part = _inputs(args)
-    strategy = _strategy(args, part)
+    # Only here can the partition be missing: simulate and coverage require --system.
+    if args.strategy == "cluster" and part is None:
+        raise RuntimeError("cluster strategy needs --partition or --system")
     sessions = _sessions(args, part)
     n = part.n if part else int(sessions.article.max()) + 1
-    assignment = experiment.assign(strategy, n, np.random.default_rng([args.seed, 1]))
+    assignment = experiment.assign(_strategy(args, part, n),
+                                   np.random.default_rng([args.seed, 1]))
     reports.write_exposure(args.out, clickstream.exposure_share(sessions, assignment))
 
 
@@ -309,10 +308,10 @@ def cmd_meta(args) -> None:
 
 def cmd_coverage(args) -> None:
     system, part = _inputs(args)
-    strategy = _strategy(args, part)
     report = experiment.coverage_analysis(
-        system, strategy, demand.PricePolicy(args.multiplier), demand.Metric(args.metric),
-        p=args.p, seed=args.seed, noise_sigma=args.noise_sigma, workers=args.workers)
+        system, _strategy(args, part, system.n), demand.PricePolicy(args.multiplier),
+        demand.Metric(args.metric), p=args.p, seed=args.seed, noise_sigma=args.noise_sigma,
+        workers=args.workers)
     reports.write_coverage(args.out, report)
 
 

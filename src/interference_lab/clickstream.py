@@ -92,7 +92,8 @@ class Clickstream:
     def of(cls, sessions: Clickstream | Iterable[Session], n: int | None = None) -> Clickstream:
         """``sessions`` as a non-empty Clickstream; an iterable of ``Session`` is read once.
 
-        A Clickstream passes through. With ``n``, every article must lie in 0..n-1.
+        A Clickstream passes through. A session's article ids must be integers in
+        0..2**63 - 1; with ``n``, every article must lie in 0..n-1.
         """
         if not isinstance(sessions, Clickstream):
             ids, lengths, views = [], [0], []
@@ -101,7 +102,10 @@ class Clickstream:
                     # Converting 1.5 or True to int64 would silently make them articles 1.
                     if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
                         raise ValueError(f"session {s.session_id}: article ids must be integers")
-                    if not -2**63 <= a < 2**63:
+                    # The writer would write a negative id that no reader accepts.
+                    if a < 0:
+                        raise ValueError(f"session {s.session_id}: article id {a} is negative")
+                    if a >= 2**63:
                         raise ValueError(f"session {s.session_id}: article id {a} is outside int64")
                 ids.append(s.session_id)
                 lengths.append(len(s.viewed))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .clickstream import Clickstream, Session, SessionGraph, build_graph, exposure_share
 from .demand import DemandSystem, Metric, Partition, PricePolicy
-from .experiment import ClusterLevel, _bias_reports, _check_p, assign
+from .experiment import _bias_reports, _check_p, assign
 
 GAIN_EPS = 1e-12
 DEFAULT_EXPOSURE_DRAWS = 32  # cluster-level assignments averaged per frontier gamma
@@ -256,13 +256,12 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
         if k >= 2:
-            strategy = ClusterLevel(part)
-            assignments = (assign(strategy, system.n, np.random.default_rng([seed, idx, 1, d]))
+            assignments = (assign(part, np.random.default_rng([seed, idx, 1, d]))
                            for d in range(exposure_draws))
             shares = np.asarray([exposure_share(sessions, a).share_both for a in assignments])
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
-            tasks.append((system, strategy, metric, [seed, idx, 2], policy, None))
+            tasks.append((system, part, metric, [seed, idx, 2], policy, None))
         points.append(FrontierPoint(
             resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
             modularity=modularity(graph, part, gamma), share_both=share_both,

@@ -1,8 +1,10 @@
 """Randomized pricing experiments on simulated demand systems.
 
-Assignments are balanced random splits at the article- or the cluster-level.
-The experiment estimator is the ratio of relative lifts,
-(Y_T / Y_T0) / (Y_C / Y_C0) - 1, which is scale-free under group imbalance.
+A design is the ``Partition`` randomized over: an assignment is a balanced
+random split of its clusters, and the article design is the singleton
+partition ``Partition(np.arange(n))``. The experiment estimator is the ratio
+of relative lifts, (Y_T / Y_T0) / (Y_C / Y_C0) - 1, which is scale-free under
+group imbalance.
 Monte Carlo over assignments quantifies interference bias against the exact
 global treatment effect; the coverage analysis reproduces the false-positive
 mechanism of naive A/A-calibrated intervals.
@@ -32,24 +34,6 @@ from .demand import (
 
 GTE_ABS_FLOOR = 1e-12
 DEFAULT_NOISE_SIGMA = 0.05  # lognormal observation noise of the coverage analysis
-
-
-@dataclass(frozen=True)
-class ArticleLevel:
-    """Balanced random split over individual articles."""
-
-    name = "article"
-
-
-@dataclass(frozen=True)
-class ClusterLevel:
-    """Balanced random split over clusters; whole clusters share a label."""
-
-    partition: Partition
-    name = "cluster"
-
-
-RandomizationStrategy = ArticleLevel | ClusterLevel
 
 
 @dataclass(frozen=True)
@@ -120,24 +104,14 @@ class SweepRow:
     report: BiasReport
 
 
-def assign(strategy: RandomizationStrategy, n: int, rng: np.random.Generator) -> Assignment:
-    """Draw a balanced random assignment for n articles."""
-    if n < 2:
-        raise ValueError("need at least 2 articles to randomize")
-    if isinstance(strategy, ArticleLevel):
-        k, unit_of = n, None
-    elif isinstance(strategy, ClusterLevel):
-        part = strategy.partition
-        if part.n != n:
-            raise ValueError("cluster partition does not cover the article space")
-        k, unit_of = part.n_clusters, part.cluster_of
-        if k < 2:
-            raise ValueError("cluster-level randomization needs >= 2 clusters")
-    else:
-        raise TypeError(f"unknown randomization strategy: {strategy!r}")
+def assign(partition: Partition, rng: np.random.Generator) -> Assignment:
+    """Draw a balanced random split of the clusters; whole clusters share a label."""
+    k, unit_of = partition.n_clusters, partition.cluster_of
+    if k < 2:
+        raise ValueError("randomization needs >= 2 units (articles or clusters)")
     treated = np.zeros(k, dtype=bool)
     treated[rng.permutation(k)[: k // 2]] = True
-    return Assignment(treated if unit_of is None else treated[unit_of])
+    return Assignment(treated[unit_of])
 
 
 def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePolicy,
@@ -168,11 +142,11 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     return Estimate(lift)
 
 
-def _draw_chunk(system, strategy, metric, master, policy, noise, ks) -> list[float]:
+def _draw_chunk(system, partition, metric, master, policy, noise, ks) -> list[float]:
     """Lifts of draws ks of one experiment; ``noise`` is None or ``(stream, sigma)``.
 
-    Without noise, draw k assigns from the RNG seeded ``[*master, k]``. With
-    noise, it assigns from ``[*master, k, stream]`` and multiplies realized
+    Without noise, draw k splits ``partition`` with the RNG seeded ``[*master, k]``.
+    With noise, it splits from ``[*master, k, stream]`` and multiplies realized
     quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, stream + 1]``.
     """
     out = []
@@ -185,7 +159,7 @@ def _draw_chunk(system, strategy, metric, master, policy, noise, ks) -> list[flo
                 noise_rng = np.random.default_rng(seed + [stream + 1])
                 factor = np.exp(noise_rng.normal(0.0, sigma, system.n))
                 seed.append(stream)
-            a = assign(strategy, system.n, np.random.default_rng(seed))
+            a = assign(partition, np.random.default_rng(seed))
             out.append(run_experiment(system, a, policy, metric, noise=factor).lift)
     return out
 
@@ -223,7 +197,7 @@ def _check_p(p: int) -> None:
 def _map_draws(tasks: list[tuple], p: int, workers: int) -> list[np.ndarray]:
     """Lifts of draws 0..p-1 of each task, one vector per task.
 
-    A task is one experiment ``(system, strategy, metric, master, policy, noise)``,
+    A task is one experiment ``(system, partition, metric, master, policy, noise)``,
     as ``_draw_chunk`` takes it; the chunks of every task go to one ``_parallel_map``.
     """
     _check_p(p)
@@ -278,17 +252,17 @@ def _bias_reports(tasks: list[tuple], p: int, workers: int) -> list[BiasReport]:
             in zip(_map_draws(tasks, p, workers), gtes, tasks)]
 
 
-def monte_carlo_bias(system: DemandSystem, strategy: RandomizationStrategy,
+def monte_carlo_bias(system: DemandSystem, partition: Partition,
                      policy: PricePolicy, metric: Metric, p: int, master_seed,
                      workers: int = 1) -> BiasReport:
-    """Distribution of experiment estimates over p random assignments.
+    """Distribution of experiment estimates over p random splits of ``partition``.
 
     Permutation k draws its RNG from (master_seed, k), so the result is
     bit-identical for any worker count.
     """
     # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
     master = [int(s) for s in np.array(master_seed, dtype=object, ndmin=1)]
-    return _bias_reports([(system, strategy, metric, master, policy, None)], p, workers)[0]
+    return _bias_reports([(system, partition, metric, master, policy, None)], p, workers)[0]
 
 
 def mc_standard_error(report: BiasReport) -> float:
@@ -301,9 +275,10 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
                        workers: int = 1) -> list[SweepRow]:
     """One BiasReport per (phi, strategy); a fresh system per phi.
 
-    ``strategies`` holds the labels "article" and "cluster"; "cluster" uses
-    the fresh system's ground-truth partition. An unknown label, a phi outside
-    [0, 1) or with an invalid config, or p < 2 is rejected before any work.
+    ``strategies`` holds the labels "article" and "cluster", which randomize
+    over the fresh system's singleton and ground-truth partitions. An unknown
+    label, a phi outside [0, 1) or with an invalid config, or p < 2 is
+    rejected before any work.
     Rows come out in (phi, strategy) order; the draws of every row go to one
     map over ``workers`` processes.
     """
@@ -321,7 +296,7 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
             raise ValueError(f"phi {cfg.within_share}: {exc}") from None
     _check_p(p)
     systems = [generate_demand_system(cfg, seed) for cfg in configs]
-    tasks = [(system, ArticleLevel() if label == "article" else ClusterLevel(system.partition),
+    tasks = [(system, Partition(np.arange(system.n)) if label == "article" else system.partition,
               metric, [seed, i, j], policy, None) for i, system in enumerate(systems)
              for j, label in enumerate(strategies)]
     reports = iter(_bias_reports(tasks, p, workers))
@@ -329,22 +304,23 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
             for cfg in configs for label in strategies]
 
 
-def coverage_analysis(system: DemandSystem, strategy: RandomizationStrategy,
+def coverage_analysis(system: DemandSystem, partition: Partition,
                       policy: PricePolicy, metric: Metric, p: int, seed: int,
                       noise_sigma: float = DEFAULT_NOISE_SIGMA,
                       workers: int = 1) -> CoverageReport:
     """Calibrate naive intervals from A/A spread and test them against the GTE.
 
-    The pure simulator has no sampling noise, so seeded lognormal observation
-    noise (sigma ``noise_sigma``) multiplies realized quantities in both the
-    null-policy (A/A) and the treated runs. aa_sd is the standard deviation of
-    null-policy estimates; coverage_rate is the share of treated estimates
-    whose +/- 1.96 * aa_sd interval contains the true GTE.
+    Both runs randomize over ``partition``. The pure simulator has no sampling
+    noise, so seeded lognormal observation noise (sigma ``noise_sigma``)
+    multiplies realized quantities in both the null-policy (A/A) and the
+    treated runs. aa_sd is the standard deviation of null-policy estimates;
+    coverage_rate is the share of treated estimates whose +/- 1.96 * aa_sd
+    interval contains the true GTE.
     """
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
-    aa, treated = _map_draws([(system, strategy, metric, [seed], arm, (stream, noise_sigma))
+    aa, treated = _map_draws([(system, partition, metric, [seed], arm, (stream, noise_sigma))
                               for arm, stream in [(PricePolicy(1.0), 0), (policy, 2)]], p, workers)
     aa_sd = float(aa.std(ddof=1))
     defined = aa_sd != 0.0

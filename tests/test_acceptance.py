@@ -23,9 +23,7 @@ import numpy as np
 import pytest
 
 from interference_lab import (
-    ArticleLevel,
     Assignment,
-    ClusterLevel,
     GeneratorConfig,
     MetaExperimentInput,
     Metric,
@@ -122,7 +120,7 @@ def test_criterion_03_no_interference_nullity(announce):
         cfg = GeneratorConfig(n=1000, within_share=0.0, background_share=0.0)
         system = generate_demand_system(cfg, seed=11)
         policy, metric = PricePolicy(0.95), Metric.REVENUE
-        for strategy in (ArticleLevel(), ClusterLevel(system.partition)):
+        for strategy in (Partition(np.arange(system.n)), system.partition):
             report = monte_carlo_bias(system, strategy, policy, metric,
                                       p=1000, master_seed=101, workers=WORKERS)
             assert abs(report.mean_bias) < 3 * mc_standard_error(report)
@@ -315,20 +313,20 @@ def test_criterion_06_exposure_properties(announce):
         # fully pure sessions + cluster randomization: no session crosses arms
         pure_part = Partition(np.repeat(np.arange(10), 10))
         pure = generate_sessions(pure_part, 5000, 2, 4, purity=1.0, seed=61)
-        a = assign(ClusterLevel(pure_part), 100, np.random.default_rng(62))
+        a = assign(pure_part, np.random.default_rng(62))
         assert exposure_share(pure, a).share_both == 0.0
 
         # two independent uniform views under a balanced article split: 1/2
         part = Partition(np.repeat(np.arange(10), 10))
         mixed = generate_sessions(part, 100_000, 2, 2, purity=0.0, seed=63)
-        a = assign(ArticleLevel(), 100, np.random.default_rng(64))
+        a = assign(Partition(np.arange(100)), np.random.default_rng(64))
         assert exposure_share(mixed, a).share_both == pytest.approx(0.5, abs=0.02)
 
         # calibration scenario: 50 clusters of 20, 3 views, purity 0.75,
         # cluster randomization -> about one session in three sees both arms
         calib_part = Partition(np.repeat(np.arange(50), 20))
         calib = generate_sessions(calib_part, 100_000, 3, 3, purity=0.75, seed=65)
-        a = assign(ClusterLevel(calib_part), 1000, np.random.default_rng(66))
+        a = assign(calib_part, np.random.default_rng(66))
         assert exposure_share(calib, a).share_both == pytest.approx(1 / 3, abs=0.05)
 
 
@@ -446,7 +444,7 @@ def test_criterion_09_coverage_false_positives(announce):
         clean_cfg = GeneratorConfig(n=2000, within_share=0.0,
                                     background_share=0.0)
         clean = generate_demand_system(clean_cfg, seed=21)
-        r0 = coverage_analysis(clean, ArticleLevel(), policy, metric,
+        r0 = coverage_analysis(clean, Partition(np.arange(clean.n)), policy, metric,
                                p=1000, seed=77, noise_sigma=sigma,
                                workers=WORKERS)
         assert r0.coverage_rate == pytest.approx(0.95, abs=0.03)
@@ -454,7 +452,7 @@ def test_criterion_09_coverage_false_positives(announce):
         strong_cfg = GeneratorConfig(n=2000, within_share=0.5,
                                      background_share=0.0)
         strong = generate_demand_system(strong_cfg, seed=21)
-        r5 = coverage_analysis(strong, ArticleLevel(), policy, metric,
+        r5 = coverage_analysis(strong, Partition(np.arange(strong.n)), policy, metric,
                                p=1000, seed=77, noise_sigma=sigma,
                                workers=WORKERS)
         assert r5.coverage_rate < 0.5

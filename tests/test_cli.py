@@ -141,6 +141,18 @@ class TestSimulate:
         assert len(errors) == 1 and "sd_estimate" in errors[0]
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("strategy,gen", [
+        ("article", ["--n", "1"]),
+        ("cluster", ["--n", "4", "--cluster-size-min", "4", "--cluster-size-max", "4"])])
+    def test_fewer_than_two_units_is_one_error_line(self, tmp_path, capsys, strategy, gen):
+        system, out = tmp_path / "s.json", tmp_path / "o.csv"
+        assert run(["gen", *gen, "--out", system]) == 0
+        assert run(["simulate", "--system", system, "--strategy", strategy, "--p", "4",
+                    "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: randomization needs >= 2 units (articles or clusters)\n")
+        assert not out.exists()
+
     def test_writes_bias_csv(self, system_path, tmp_path):
         out = tmp_path / "bias.csv"
         assert run(["simulate", "--system", system_path, "--p", "30",

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
-    ArticleLevel,
     Assignment,
     Clickstream,
-    ClusterLevel,
     Partition,
     Session,
     SessionGraph,
@@ -104,7 +102,7 @@ class TestClickstream:
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
 
-    @pytest.mark.parametrize("article", [2**63, -2**63 - 1, np.uint64(2**63)])
+    @pytest.mark.parametrize("article", [2**63, np.uint64(2**63)])
     def test_article_ids_outside_int64_rejected(self, article, tmp_path):
         sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
         message = f"^session b: article id {article} is outside int64$"
@@ -115,11 +113,23 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
-        # The int64 extremes are ids, which the article range then rejects.
-        extreme = 2**63 - 1 if article > 0 else -2**63
-        sessions[1] = Session("b", frozenset({extreme, 4}))
-        with pytest.raises(ValueError, match=f"^session b: article {extreme} is not among"):
+        # The int64 maximum is an id, which the article range then rejects.
+        sessions[1] = Session("b", frozenset({2**63 - 1, 4}))
+        with pytest.raises(ValueError, match=f"^session b: article {2**63 - 1} is not among"):
             exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+
+    @pytest.mark.parametrize("article", [-1, np.int8(-1), -2**63, -2**63 - 1])
+    def test_negative_article_ids_rejected(self, article, tmp_path):
+        # Without an article count, only this check keeps a negative id out of the file.
+        sessions = [Session("a", frozenset({0, 2})), Session("b", frozenset({article, 4}))]
+        message = f"^session b: article id {article} is negative$"
+        with pytest.raises(ValueError, match=message):
+            build_graph(sessions)
+        with pytest.raises(ValueError, match=message):
+            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+        with pytest.raises(ValueError, match=message):
+            write_sessions(sessions, tmp_path / "clicks.csv")
+        assert not (tmp_path / "clicks.csv").exists()
 
     def test_numpy_integer_ids_are_articles(self):
         sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
@@ -127,7 +137,7 @@ class TestClickstream:
 
     def test_a_generator_of_sessions_is_read_once(self):
         sessions = list(generate_sessions(planted_partition(4, 5), 100, 1, 4, 0.5, seed=5))
-        assignment = assign(ArticleLevel(), 20, np.random.default_rng(0))
+        assignment = assign(Partition(np.arange(20)), np.random.default_rng(0))
         graph = build_graph(s for s in sessions)
         expected = build_graph(sessions)
         assert graph.edges == expected.edges and graph.n == expected.n
@@ -349,13 +359,13 @@ class TestExposure:
     def test_pure_sessions_with_cluster_randomization_never_cross(self):
         part = planted_partition(6, 5)
         sessions = generate_sessions(part, 300, 2, 4, purity=1.0, seed=9)
-        assignment = assign(ClusterLevel(part), 30, np.random.default_rng(0))
+        assignment = assign(part, np.random.default_rng(0))
         assert exposure_share(sessions, assignment).share_both == 0.0
 
     def test_two_random_views_article_split_crosses_half_the_time(self):
         part = planted_partition(5, 20)
         sessions = generate_sessions(part, 20_000, 2, 2, purity=0.0, seed=11)
-        assignment = assign(ArticleLevel(), 100, np.random.default_rng(1))
+        assignment = assign(Partition(np.arange(100)), np.random.default_rng(1))
         share = exposure_share(sessions, assignment).share_both
         assert share == pytest.approx(0.5, abs=0.02)
 

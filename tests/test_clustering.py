@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from interference_lab import (
-    ClusterLevel,
     GeneratorConfig,
     Metric,
     Partition,
@@ -295,9 +294,9 @@ class TestFrontier:
         assert first.share_both != repeat.share_both
         graph = build_graph(sessions, n=system.n)
         for point, idx in zip(points, [0, 2, 1]):
-            strategy = ClusterLevel(louvain(graph, point.resolution, seed))
-            shares = [exposure_share(sessions, assign(strategy, system.n,
-                                                      np.random.default_rng([seed, idx, 1, d])))
+            part = louvain(graph, point.resolution, seed)
+            shares = [exposure_share(sessions,
+                                     assign(part, np.random.default_rng([seed, idx, 1, d])))
                       .share_both for d in range(draws)]
             assert point.share_both == float(np.mean(shares))
 
@@ -314,8 +313,8 @@ class TestFrontier:
         assert [rows[gamma].defined for gamma in gammas] == [True, False, True]
         for idx, gamma in enumerate(gammas):
             if rows[gamma].defined:
-                strategy = ClusterLevel(louvain(graph, gamma, seed))
-                report = monte_carlo_bias(system, strategy, policy, metric, p, [seed, idx, 2])
+                part = louvain(graph, gamma, seed)
+                report = monte_carlo_bias(system, part, policy, metric, p, [seed, idx, 2])
                 assert (rows[gamma].mean_bias, rows[gamma].relative_sd) == (
                     report.mean_bias, report.relative_sd)
 

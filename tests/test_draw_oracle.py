@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
-    ArticleLevel,
-    ClusterLevel,
     GeneratorConfig,
     Metric,
+    Partition,
     PricePolicy,
     assign,
     generate_demand_system,
@@ -60,7 +59,7 @@ def reference_estimate_chunk(system, strategy, policy, metric, master, ks):
     out = []
     for k in ks:
         rng = np.random.default_rng(list(master) + [int(k)])
-        a = assign(strategy, system.n, rng)
+        a = assign(strategy, rng)
         out.append(run_experiment(system, a, policy, metric).lift)
     return out
 
@@ -70,11 +69,11 @@ def reference_coverage_chunk(system, strategy, policy, metric, seed, sigma, ks):
     for k in ks:
         aa_rng = np.random.default_rng([seed, int(k), 0])
         aa_noise = np.exp(np.random.default_rng([seed, int(k), 1]).normal(0.0, sigma, system.n))
-        aa = run_experiment(system, assign(strategy, system.n, aa_rng),
+        aa = run_experiment(system, assign(strategy, aa_rng),
                             PricePolicy(1.0), metric, noise=aa_noise).lift
         tr_rng = np.random.default_rng([seed, int(k), 2])
         tr_noise = np.exp(np.random.default_rng([seed, int(k), 3]).normal(0.0, sigma, system.n))
-        tr = run_experiment(system, assign(strategy, system.n, tr_rng),
+        tr = run_experiment(system, assign(strategy, tr_rng),
                             policy, metric, noise=tr_noise).lift
         out.append((aa, tr))
     return out
@@ -96,7 +95,7 @@ def draw_system(n, seed):
 
 
 def draw_strategy(system, level):
-    return ArticleLevel() if level == "article" else ClusterLevel(system.partition)
+    return Partition(np.arange(system.n)) if level == "article" else system.partition
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,7 +106,7 @@ def test_run_experiment_matches_mask_reference_bit_for_bit(n, system_seed, draw_
                                                            metric, multiplier, noisy):
     system = draw_system(n, system_seed)
     rng = np.random.default_rng(draw_seed)
-    a = assign(draw_strategy(system, level), n, rng)
+    a = assign(draw_strategy(system, level), rng)
     noise = np.exp(rng.normal(0.0, 0.05, n)) if noisy else None
     policy = PricePolicy(multiplier)
     assert bits(run_experiment(system, a, policy, metric, noise=noise)) == \

@@ -11,9 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
-    ArticleLevel,
     Assignment,
-    ClusterLevel,
     GeneratorConfig,
     Metric,
     Partition,
@@ -38,13 +36,13 @@ from tests.test_demand import make_system
 class TestAssign:
     def test_article_split_is_balanced(self):
         rng = np.random.default_rng(0)
-        a = assign(ArticleLevel(), 101, rng)
+        a = assign(Partition(np.arange(101)), rng)
         assert a.treated.sum() == 50
 
     def test_cluster_split_keeps_clusters_intact(self):
         part = Partition(np.repeat(np.arange(10), 7))
         rng = np.random.default_rng(1)
-        a = assign(ClusterLevel(part), 70, rng)
+        a = assign(part, rng)
         for c in range(10):
             labels = a.treated[part.cluster_of == c]
             assert labels.all() or not labels.any()
@@ -53,37 +51,36 @@ class TestAssign:
         assert treated_clusters == 5
 
     def test_assign_is_seed_deterministic(self):
-        a = assign(ArticleLevel(), 40, np.random.default_rng(7))
-        b = assign(ArticleLevel(), 40, np.random.default_rng(7))
+        a = assign(Partition(np.arange(40)), np.random.default_rng(7))
+        b = assign(Partition(np.arange(40)), np.random.default_rng(7))
         np.testing.assert_array_equal(a.treated, b.treated)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            assign(ArticleLevel(), 1, np.random.default_rng(0))
+            assign(Partition(np.arange(1)), np.random.default_rng(0))
         single = Partition(np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
-            assign(ClusterLevel(single), 4, np.random.default_rng(0))
+            assign(single, np.random.default_rng(0))
         part = Partition(np.array([0, 0, 1, 1]))
-        with pytest.raises(ValueError):
-            assign(ClusterLevel(part), 6, np.random.default_rng(0))
+        system = make_system([-2.0] * 6, [0, 0, 1, 1, 2, 2], [0.5] * 3)
+        with pytest.raises(ValueError, match="^assignment length does not match the system$"):
+            run_experiment(system, assign(part, np.random.default_rng(0)), PricePolicy(0.95),
+                           Metric.UNITS)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 300), seed=st.integers(0, 2**32))
     def test_article_split_is_the_split_over_singleton_clusters(self, n, seed):
-        article = assign(ArticleLevel(), n, np.random.default_rng(seed))
-        singletons = ClusterLevel(Partition(np.arange(n)))
-        cluster = assign(singletons, n, np.random.default_rng(seed))
-        np.testing.assert_array_equal(article.treated, cluster.treated)
+        # The balanced article split as drawn before designs were partitions.
+        reference = np.zeros(n, dtype=bool)
+        reference[np.random.default_rng(seed).permutation(n)[: n // 2]] = True
+        article = assign(Partition(np.arange(n)), np.random.default_rng(seed))
+        assert article.treated.tobytes() == reference.tobytes()
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):
             Assignment(np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             Assignment(np.array([], dtype=bool))
-
-    def test_unknown_strategy_is_a_type_error(self):
-        with pytest.raises(TypeError, match="^unknown randomization strategy: "):
-            assign(object(), 4, np.random.default_rng(0))
 
 
 class TestEstimator:
@@ -207,8 +204,9 @@ class TestMonteCarloBias:
     def test_deterministic_across_worker_counts(self, small_system):
         kwargs = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=40,
                       master_seed=99)
-        serial = monte_carlo_bias(small_system, ArticleLevel(), workers=1, **kwargs)
-        parallel = monte_carlo_bias(small_system, ArticleLevel(), workers=8, **kwargs)
+        article = Partition(np.arange(small_system.n))
+        serial = monte_carlo_bias(small_system, article, workers=1, **kwargs)
+        parallel = monte_carlo_bias(small_system, article, workers=8, **kwargs)
         assert serial == parallel
 
     def test_chunks_for_the_pool_it_gets(self, small_system, monkeypatch):
@@ -221,29 +219,30 @@ class TestMonteCarloBias:
 
         monkeypatch.setattr("interference_lab.experiment._parallel_map", counting_map)
         kwargs = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=40, master_seed=99)
-        pooled = monte_carlo_bias(small_system, ArticleLevel(), workers=8, **kwargs)
+        article = Partition(np.arange(small_system.n))
+        pooled = monte_carlo_bias(small_system, article, workers=8, **kwargs)
         assert len(sent) == 8  # four per process of the 2-worker pool, not 4 * 8
-        assert pooled == monte_carlo_bias(small_system, ArticleLevel(), workers=1, **kwargs)
+        assert pooled == monte_carlo_bias(small_system, article, workers=1, **kwargs)
 
     def test_report_quantiles_ordered(self, small_system):
-        r = monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(0.95),
+        r = monte_carlo_bias(small_system, Partition(np.arange(small_system.n)), PricePolicy(0.95),
                              Metric.REVENUE, p=60, master_seed=5)
         assert r.q05 <= r.q50 <= r.q95
         assert r.p == 60 and r.seed == 5
 
     def test_article_bias_positive_under_substitution(self, small_system):
-        r = monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(0.95),
+        r = monte_carlo_bias(small_system, Partition(np.arange(small_system.n)), PricePolicy(0.95),
                              Metric.REVENUE, p=200, master_seed=3)
         assert r.mean_bias > 3 * mc_standard_error(r)
 
     def test_cluster_randomization_unbiased(self, small_system):
-        strat = ClusterLevel(small_system.partition)
+        strat = small_system.partition
         r = monte_carlo_bias(small_system, strat, PricePolicy(0.95),
                              Metric.REVENUE, p=200, master_seed=3)
         assert abs(r.mean_bias) < 3 * mc_standard_error(r)
 
     def test_absolute_fallback_when_gte_is_zero(self, small_system):
-        r = monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(1.0),
+        r = monte_carlo_bias(small_system, Partition(np.arange(small_system.n)), PricePolicy(1.0),
                              Metric.REVENUE, p=20, master_seed=1)
         assert r.bias_is_absolute
         assert r.gte == pytest.approx(0.0, abs=1e-12)
@@ -255,16 +254,17 @@ class TestMonteCarloBias:
     def test_draw_k_assigns_from_the_master_seed_then_k(self, small_system, master_seed,
                                                          entries):
         policy, metric, p = PricePolicy(0.95), Metric.REVENUE, 4
-        lifts = [run_experiment(small_system, assign(ArticleLevel(), small_system.n,
-                                                     np.random.default_rng([*entries, k])),
+        article = Partition(np.arange(small_system.n))
+        lifts = [run_experiment(small_system,
+                                assign(article, np.random.default_rng([*entries, k])),
                                 policy, metric).lift for k in range(p)]
-        r = monte_carlo_bias(small_system, ArticleLevel(), policy, metric, p, master_seed)
+        r = monte_carlo_bias(small_system, article, policy, metric, p, master_seed)
         assert r.mean_estimate == np.asarray(lifts).mean()
         assert r.seed == entries[0]
 
     def test_rejects_tiny_p(self, small_system):
         with pytest.raises(ValueError):
-            monte_carlo_bias(small_system, ArticleLevel(), PricePolicy(0.95),
+            monte_carlo_bias(small_system, Partition(np.arange(small_system.n)), PricePolicy(0.95),
                              Metric.REVENUE, p=1, master_seed=0)
 
 
@@ -330,7 +330,7 @@ class TestSweep:
         expected = []
         for i, phi in enumerate(phis):
             system = generate_demand_system(replace(cfg, within_share=phi), seed)
-            for j, strategy in enumerate([ArticleLevel(), ClusterLevel(system.partition)]):
+            for j, strategy in enumerate([Partition(np.arange(system.n)), system.partition]):
                 expected.append(monte_carlo_bias(system, strategy, policy, metric, p,
                                                  [seed, i, j]))
         assert [row.report for row in rows] == expected
@@ -342,9 +342,10 @@ class TestMapDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_task_of_a_mixed_batch_gets_its_own_lifts(self, small_system, workers):
         # Coverage's A/A and treated runs, then one bias run.
-        tasks = [(small_system, ArticleLevel(), Metric.UNITS, [4], PricePolicy(1.0), (0, 0.05)),
-                 (small_system, ArticleLevel(), Metric.UNITS, [4], PricePolicy(0.95), (2, 0.05)),
-                 (small_system, ClusterLevel(small_system.partition), Metric.UNITS, [4, 1, 2],
+        article = Partition(np.arange(small_system.n))
+        tasks = [(small_system, article, Metric.UNITS, [4], PricePolicy(1.0), (0, 0.05)),
+                 (small_system, article, Metric.UNITS, [4], PricePolicy(0.95), (2, 0.05)),
+                 (small_system, small_system.partition, Metric.UNITS, [4, 1, 2],
                   PricePolicy(0.95), None)]
         batched = _map_draws(tasks, 30, workers)
         assert [lifts.shape for lifts in batched] == [(30,)] * 3
@@ -358,8 +359,9 @@ class TestMapDraws:
         ids=["policy", "noise"])
     def test_a_non_finite_second_task_is_its_own_error(self, small_system, workers, run,
                                                        cause):
-        fine = (small_system, ArticleLevel(), Metric.UNITS, [1], PricePolicy(0.95), None)
-        bad = (small_system, ArticleLevel(), Metric.UNITS, [2], *run)
+        article = Partition(np.arange(small_system.n))
+        fine = (small_system, article, Metric.UNITS, [1], PricePolicy(0.95), None)
+        bad = (small_system, article, Metric.UNITS, [2], *run)
         errors = []
         for tasks in ([bad], [fine, bad]):
             with pytest.raises(ValueError, match=f"^an experiment estimate is not finite: {cause} "
@@ -372,20 +374,21 @@ class TestMapDraws:
 
 class TestCoverage:
     def test_null_policy_z_is_centered(self, clean_system):
-        r = coverage_analysis(clean_system, ArticleLevel(), PricePolicy(1.0),
+        r = coverage_analysis(clean_system, Partition(np.arange(clean_system.n)), PricePolicy(1.0),
                               Metric.UNITS, p=200, seed=4, noise_sigma=0.05)
         assert abs(r.mean_z) < 0.3
         assert 0.0 <= r.coverage_rate <= 1.0
 
     def test_aa_sd_scales_with_noise(self, clean_system):
-        low = coverage_analysis(clean_system, ArticleLevel(), PricePolicy(0.99),
+        article = Partition(np.arange(clean_system.n))
+        low = coverage_analysis(clean_system, article, PricePolicy(0.99),
                                 Metric.UNITS, p=150, seed=4, noise_sigma=0.05)
-        high = coverage_analysis(clean_system, ArticleLevel(), PricePolicy(0.99),
+        high = coverage_analysis(clean_system, article, PricePolicy(0.99),
                                  Metric.UNITS, p=150, seed=4, noise_sigma=0.2)
         assert high.aa_sd == pytest.approx(4 * low.aa_sd, rel=0.15)
 
     def test_noiseless_run_is_flagged_undefined(self, clean_system):
-        r = coverage_analysis(clean_system, ArticleLevel(), PricePolicy(1.0),
+        r = coverage_analysis(clean_system, Partition(np.arange(clean_system.n)), PricePolicy(1.0),
                               Metric.UNITS, p=20, seed=4, noise_sigma=0.0)
         assert not r.defined
         assert r.aa_sd == 0.0
@@ -394,20 +397,23 @@ class TestCoverage:
     def test_deterministic_across_worker_counts(self, clean_system):
         kwargs = dict(policy=PricePolicy(0.99), metric=Metric.UNITS, p=64,
                       seed=4, noise_sigma=0.05)
-        a = coverage_analysis(clean_system, ArticleLevel(), workers=1, **kwargs)
-        b = coverage_analysis(clean_system, ArticleLevel(), workers=8, **kwargs)
+        article = Partition(np.arange(clean_system.n))
+        a = coverage_analysis(clean_system, article, workers=1, **kwargs)
+        b = coverage_analysis(clean_system, article, workers=8, **kwargs)
         assert a == b
 
     def test_validation(self, clean_system):
+        article = Partition(np.arange(clean_system.n))
         with pytest.raises(ValueError):
-            coverage_analysis(clean_system, ArticleLevel(), PricePolicy(0.95),
+            coverage_analysis(clean_system, article, PricePolicy(0.95),
                               Metric.UNITS, p=1, seed=0)
         with pytest.raises(ValueError):
-            coverage_analysis(clean_system, ArticleLevel(), PricePolicy(0.95),
+            coverage_analysis(clean_system, article, PricePolicy(0.95),
                               Metric.UNITS, p=10, seed=0, noise_sigma=-0.1)
 
 
 def test_strategy_labels():
-    assert ArticleLevel().name == "article"
-    part = Partition(np.array([0, 0, 1, 1]))
-    assert ClusterLevel(part).name == "cluster"
+    # A design carries no label; a sweep row keeps the label it was asked for.
+    rows = sweep_substitution(GeneratorConfig(n=20), [0.2], ["cluster", "article"],
+                              PricePolicy(0.95), Metric.UNITS, p=2, seed=0)
+    assert [row.strategy for row in rows] == ["cluster", "article"]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from interference_lab import (
     Assignment,
-    ClusterLevel,
     GeneratorConfig,
     Metric,
     Partition,
@@ -288,9 +287,8 @@ def test_frontier_share_both_is_the_mean_exposure_share():
                       seed=seed, exposure_draws=draws)
     graph = build_graph(sessions, n=system.n)
     for idx, gamma in enumerate(gammas):
-        strategy = ClusterLevel(louvain(graph, gamma, seed))
-        shares = [exposure_share(sessions, assign(strategy, system.n,
-                                                  np.random.default_rng([seed, idx, 1, d])))
+        part = louvain(graph, gamma, seed)
+        shares = [exposure_share(sessions, assign(part, np.random.default_rng([seed, idx, 1, d])))
                   .share_both for d in range(draws)]
         (point,) = [pt for pt in points if pt.resolution == gamma]
         assert point.share_both == float(np.mean(shares))

@@ -24,10 +24,9 @@ import numpy as np
 import pytest
 
 from interference_lab import (
-    ArticleLevel,
-    ClusterLevel,
     GeneratorConfig,
     Metric,
+    Partition,
     PricePolicy,
     coverage_analysis,
     generate_demand_system,
@@ -69,7 +68,7 @@ def system():
 @pytest.mark.parametrize("design", ["article", "cluster"])
 def test_mean_estimate_tends_to_the_limit(system, design, metric):
     policy, p = PricePolicy(0.95), 400
-    strategy = ArticleLevel() if design == "article" else ClusterLevel(system.partition)
+    strategy = Partition(np.arange(system.n)) if design == "article" else system.partition
     report = monte_carlo_bias(system, strategy, policy, metric, p, master_seed=7)
     limit = limit_lift(system, policy, metric, design)
     se = report.sd_estimate / np.sqrt(p)
@@ -93,10 +92,11 @@ def test_limit_predicts_criterion_9_mean_z():
     policy, metric, sigma, p = PricePolicy(0.99), Metric.UNITS, 0.05, 1000
     strong = generate_demand_system(
         GeneratorConfig(n=2000, within_share=0.5, background_share=0.0), seed=21)
-    report = coverage_analysis(strong, ArticleLevel(), policy, metric, p=p, seed=77,
-                               noise_sigma=sigma)
+    report = coverage_analysis(strong, Partition(np.arange(strong.n)), policy, metric, p=p,
+                               seed=77, noise_sigma=sigma)
     # The treated run's draws, to size the Monte-Carlo SE of mean_z.
-    [treated] = _map_draws([(strong, ArticleLevel(), metric, [77], policy, (2, sigma))], p, 1)
+    [treated] = _map_draws([(strong, Partition(np.arange(strong.n)), metric, [77], policy,
+                             (2, sigma))], p, 1)
     z = (treated - report.gte) / report.aa_sd
     assert z.mean() == pytest.approx(report.mean_z, rel=1e-12)
     predicted = (limit_lift(strong, policy, metric, "article") - report.gte) / report.aa_sd
