@@ -16,7 +16,6 @@ from .experiment import (
     Assignment,
     BiasReport,
     CoverageReport,
-    Estimate,
     assign,
     coverage_analysis,
     monte_carlo_bias,

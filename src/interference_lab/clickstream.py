@@ -10,10 +10,10 @@ Sessions are held as a ``Clickstream``: one id per session and a CSR view
 (``indptr``, ``article``) of what each viewed. ``generate_sessions`` and
 ``read_sessions`` return one; ``build_graph``, ``exposure_share``,
 ``write_sessions`` and ``clustering.frontier`` take one, or any iterable of
-``Session`` objects, which ``Clickstream.of`` converts and checks, so the
-writer rejects what every command rejects. Iterating a Clickstream yields its
-``Session`` objects. A graph is held as ``src``/``dst``/``w`` edge arrays.
-Weights are int64 counts, so every weight sum is exact whatever its order.
+``Session`` objects, which ``Clickstream.of`` converts. A Clickstream checks
+its article ids once, when built, so the writer rejects what every command
+rejects. A graph is held as ``src``/``dst``/``w`` edge arrays. Weights are
+int64 counts, so every weight sum is exact whatever its order.
 
 ``read_sessions`` first tries ``_read_plain``, an array parser for plain
 files: ASCII, ``\n`` line ends, no quotes, the exact header and
@@ -65,8 +65,8 @@ class _Numbered(Sequence):
     def __len__(self) -> int:
         return len(self._range)
 
-    def __getitem__(self, i: int) -> str:
-        return f"s{self._range[i]}"
+    def __getitem__(self, i: int | slice) -> str | list[str]:
+        return [f"s{k}" for k in self._range[i]] if isinstance(i, slice) else f"s{self._range[i]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +79,22 @@ class Clickstream:
     ids: Sequence[str]
     indptr: np.ndarray
     article: np.ndarray
+
+    def __post_init__(self):
+        # Checked once here; ``of`` passes a Clickstream through, checking only the range.
+        article = np.asarray(self.article)
+        object.__setattr__(self, "article", article)
+        if article.dtype.kind not in "iu":
+            self._reject(np.ones(article.size, dtype=bool), "article ids must be integers")
+        self._reject(article < 0, "article id {} is negative")
+        self._reject(article >= 2**63, "article id {} is outside int64")
+        object.__setattr__(self, "article", article.astype(np.int64, copy=False))
+
+    def _reject(self, bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            at = int(bad.argmax())
+            s = int(np.searchsorted(self.indptr, at, side="right")) - 1
+            raise ValueError(f"session {self.ids[s]}: {problem.format(self.article[at])}")
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -102,11 +118,10 @@ class Clickstream:
                     # Converting 1.5 or True to int64 would silently make them articles 1.
                     if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
                         raise ValueError(f"session {s.session_id}: article ids must be integers")
-                    # The writer would write a negative id that no reader accepts.
-                    if a < 0:
-                        raise ValueError(f"session {s.session_id}: article id {a} is negative")
-                    if a >= 2**63:
-                        raise ValueError(f"session {s.session_id}: article id {a} is outside int64")
+                    # Only what int64 holds converts; ``__post_init__`` checks the rest.
+                    if not -2**63 <= a < 2**63:
+                        problem = "negative" if a < 0 else "outside int64"
+                        raise ValueError(f"session {s.session_id}: article id {a} is {problem}")
                 ids.append(s.session_id)
                 lengths.append(len(s.viewed))
                 views += sorted(s.viewed)
@@ -114,13 +129,8 @@ class Clickstream:
         if not sessions:
             raise ValueError("sessions must be non-empty")
         if n is not None:
-            article = sessions.article
-            uncovered = (article < 0) | (article >= n)
-            if uncovered.any():
-                at = int(uncovered.argmax())
-                s = int(np.searchsorted(sessions.indptr, at, side="right")) - 1
-                raise ValueError(f"session {sessions.ids[s]}: article {article[at]} is not "
-                                 f"among the {n} articles")
+            uncovered = (sessions.article < 0) | (sessions.article >= n)
+            sessions._reject(uncovered, f"article {{}} is not among the {n} articles")
         return sessions
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .clickstream import Clickstream, Session, SessionGraph, build_graph, exposure_share
 from .demand import DemandSystem, Metric, Partition, PricePolicy
-from .experiment import _bias_reports, _check_p, assign
+from .experiment import _Experiment, _bias_reports, _check_p, assign
 
 GAIN_EPS = 1e-12
 DEFAULT_EXPOSURE_DRAWS = 32  # cluster-level assignments averaged per frontier gamma
@@ -248,10 +248,12 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
         raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")
     _check_p(p)
     order = sorted(enumerate(gammas), key=lambda t: t[1])
+    if not order:
+        raise ValueError("gammas must be non-empty")
     for _, gamma in order:
         _check_gamma(gamma)
     graph = build_graph(sessions, system.n)
-    points, tasks = [], []
+    points, experiments = [], []
     for (idx, gamma), part in zip(order, _louvain(graph, tuple(g for _, g in order), seed)):
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
@@ -261,13 +263,13 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
             shares = np.asarray([exposure_share(sessions, a).share_both for a in assignments])
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
-            tasks.append((system, part, metric, [seed, idx, 2], policy, None))
+            experiments.append(_Experiment(system, part, metric, [seed, idx, 2], policy))
         points.append(FrontierPoint(
             resolution=float(gamma), n_clusters=k, avg_cluster_size=system.n / k,
             modularity=modularity(graph, part, gamma), share_both=share_both,
             share_both_sd=share_both_sd, mean_bias=float("nan"), relative_sd=float("nan"),
             defined=k >= 2))
     defined = [i for i, point in enumerate(points) if point.defined]
-    for i, report in zip(defined, _bias_reports(tasks, p, workers)):
+    for i, report in zip(defined, _bias_reports(experiments, p, workers)):
         points[i] = replace(points[i], mean_bias=report.mean_bias, relative_sd=report.relative_sd)
     return points

@@ -2,12 +2,12 @@
 
 A design is the ``Partition`` randomized over: an assignment is a balanced
 random split of its clusters, and the article design is the singleton
-partition ``Partition(np.arange(n))``. The experiment estimator is the ratio
-of relative lifts, (Y_T / Y_T0) / (Y_C / Y_C0) - 1, which is scale-free under
-group imbalance.
-Monte Carlo over assignments quantifies interference bias against the exact
-global treatment effect; the coverage analysis reproduces the false-positive
-mechanism of naive A/A-calibrated intervals.
+partition ``Partition(np.arange(n))``. ``run_experiment`` returns the lift of
+the ratio-of-relative-lifts estimator, (Y_T / Y_T0) / (Y_C / Y_C0) - 1, which
+is scale-free under group imbalance. Monte Carlo over assignments quantifies
+interference bias against the exact global treatment effect; the coverage
+analysis reproduces the false-positive mechanism of naive A/A-calibrated
+intervals. Their unit of work is the ``_Experiment``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -51,11 +52,6 @@ class Assignment:
     @property
     def n(self) -> int:
         return int(self.treated.size)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    lift: float
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ def assign(partition: Partition, rng: np.random.Generator) -> Assignment:
 
 
 def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePolicy,
-                   metric: Metric, noise: np.ndarray | None = None) -> Estimate:
-    """Evaluate one experiment; cross-group interference is fully present.
+                   metric: Metric, noise: np.ndarray | None = None) -> float:
+    """The lift one experiment measures; cross-group interference is fully present.
 
     ``noise`` optionally multiplies realized quantities article-wise
     (observation noise for the coverage analysis); baselines stay noise-free.
@@ -138,30 +134,39 @@ def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePo
     control_outcome = float(values[ic].sum())
     treated_base = float(bases[it].sum())
     control_base = float(bases[ic].sum())
-    lift = (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
-    return Estimate(lift)
+    return (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
 
 
-def _draw_chunk(system, partition, metric, master, policy, noise, ks) -> list[float]:
-    """Lifts of draws ks of one experiment; ``noise`` is None or ``(stream, sigma)``.
+@dataclass(frozen=True)
+class _Experiment:
+    """One Monte-Carlo experiment; ``lifts(ks)`` gives the lifts of its draws ``ks``.
 
-    Without noise, draw k splits ``partition`` with the RNG seeded ``[*master, k]``.
-    With noise, it splits from ``[*master, k, stream]`` and multiplies realized
-    quantities by lognormal noise of sigma ``sigma`` drawn from ``[*master, k, stream + 1]``.
+    Draw k splits ``partition`` with the RNG seeded ``[*master, k]``. With ``noise = (stream,
+    sigma)``, it splits from ``[*master, k, stream]`` and multiplies realized quantities by
+    lognormal noise of sigma ``sigma`` drawn from ``[*master, k, stream + 1]``.
     """
-    out = []
-    # ``_map_draws`` checks the lifts; the error state must be set here, in the worker.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in ks:
-            seed, factor = [*master, int(k)], None
-            if noise is not None:
-                stream, sigma = noise
-                noise_rng = np.random.default_rng(seed + [stream + 1])
-                factor = np.exp(noise_rng.normal(0.0, sigma, system.n))
-                seed.append(stream)
-            a = assign(partition, np.random.default_rng(seed))
-            out.append(run_experiment(system, a, policy, metric, noise=factor).lift)
-    return out
+
+    system: DemandSystem
+    partition: Partition
+    metric: Metric
+    master: list[int]
+    policy: PricePolicy
+    noise: tuple[int, float] | None = None
+
+    def lifts(self, ks) -> list[float]:
+        out = []
+        # ``_map_draws`` checks the lifts; the error state must be set here, in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in ks:
+                seed, factor = [*self.master, int(k)], None
+                if self.noise is not None:
+                    stream, sigma = self.noise
+                    noise_rng = np.random.default_rng(seed + [stream + 1])
+                    factor = np.exp(noise_rng.normal(0.0, sigma, self.system.n))
+                    seed.append(stream)
+                a = assign(self.partition, np.random.default_rng(seed))
+                out.append(run_experiment(self.system, a, self.policy, self.metric, noise=factor))
+        return out
 
 
 def usable_cpus() -> int:
@@ -194,21 +199,16 @@ def _check_p(p: int) -> None:
         raise ValueError("p must be >= 2")
 
 
-def _map_draws(tasks: list[tuple], p: int, workers: int) -> list[np.ndarray]:
-    """Lifts of draws 0..p-1 of each task, one vector per task.
-
-    A task is one experiment ``(system, partition, metric, master, policy, noise)``,
-    as ``_draw_chunk`` takes it; the chunks of every task go to one ``_parallel_map``.
-    """
+def _map_draws(experiments: list[_Experiment], p: int, workers: int) -> list[np.ndarray]:
+    """Lifts of draws 0..p-1 of each experiment, one vector each, from one ``_parallel_map``."""
     _check_p(p)
     # Four chunks per process of the pool, which ``_parallel_map`` caps at ``usable_cpus()``.
     chunks = np.array_split(np.arange(p), max(1, min(4 * min(workers, usable_cpus()), p)))
-    parts = iter(_parallel_map(_draw_chunk, [(*task, ks) for task in tasks for ks in chunks],
-                               workers))
-    out = [np.asarray([x for _ in chunks for x in next(parts)]) for _ in tasks]
-    for lifts, (*_, noise) in zip(out, tasks):
+    parts = iter(_parallel_map(_Experiment.lifts, list(product(experiments, chunks)), workers))
+    out = [np.asarray([x for _ in chunks for x in next(parts)]) for _ in experiments]
+    for lifts, e in zip(out, experiments):
         if not np.isfinite(lifts).all():
-            cause = "the policy or noise_sigma is" if noise and noise[1] else "the policy is"
+            cause = "the policy or noise_sigma is" if e.noise and e.noise[1] else "the policy is"
             raise ValueError(f"an experiment estimate is not finite: {cause} out of "
                              "floating-point range for this system")
     return out
@@ -244,12 +244,11 @@ def _bias_report(estimates: np.ndarray, gte: float, seed: int) -> BiasReport:
     )
 
 
-def _bias_reports(tasks: list[tuple], p: int, workers: int) -> list[BiasReport]:
-    """One BiasReport per ``_map_draws`` task, its seed ``master[0]``, from one ``_map_draws``."""
-    gtes = [global_treatment_effect(system, policy, metric)
-            for system, _, metric, _, policy, _ in tasks]
-    return [_bias_report(estimates, gte, master[0]) for estimates, gte, (_, _, _, master, _, _)
-            in zip(_map_draws(tasks, p, workers), gtes, tasks)]
+def _bias_reports(experiments: list[_Experiment], p: int, workers: int) -> list[BiasReport]:
+    """One BiasReport per experiment, its seed ``master[0]``, from one ``_map_draws``."""
+    gtes = [global_treatment_effect(e.system, e.policy, e.metric) for e in experiments]
+    return [_bias_report(estimates, gte, e.master[0])
+            for estimates, gte, e in zip(_map_draws(experiments, p, workers), gtes, experiments)]
 
 
 def monte_carlo_bias(system: DemandSystem, partition: Partition,
@@ -262,7 +261,7 @@ def monte_carlo_bias(system: DemandSystem, partition: Partition,
     """
     # An object array keeps each entry's value; numpy would turn [2**63 + 1, 0] into floats.
     master = [int(s) for s in np.array(master_seed, dtype=object, ndmin=1)]
-    return _bias_reports([(system, partition, metric, master, policy, None)], p, workers)[0]
+    return _bias_reports([_Experiment(system, partition, metric, master, policy)], p, workers)[0]
 
 
 def mc_standard_error(report: BiasReport) -> float:
@@ -296,12 +295,11 @@ def sweep_substitution(config: GeneratorConfig, phis, strategies, policy: PriceP
             raise ValueError(f"phi {cfg.within_share}: {exc}") from None
     _check_p(p)
     systems = [generate_demand_system(cfg, seed) for cfg in configs]
-    tasks = [(system, Partition(np.arange(system.n)) if label == "article" else system.partition,
-              metric, [seed, i, j], policy, None) for i, system in enumerate(systems)
-             for j, label in enumerate(strategies)]
-    reports = iter(_bias_reports(tasks, p, workers))
-    return [SweepRow(phi=cfg.within_share, strategy=label, report=next(reports))
-            for cfg in configs for label in strategies]
+    experiments = [_Experiment(system, Partition(np.arange(system.n)) if label == "article"
+                               else system.partition, metric, [seed, i, j], policy)
+                   for i, system in enumerate(systems) for j, label in enumerate(strategies)]
+    return [SweepRow(phi=cfg.within_share, strategy=label, report=report) for (cfg, label), report
+            in zip(product(configs, strategies), _bias_reports(experiments, p, workers))]
 
 
 def coverage_analysis(system: DemandSystem, partition: Partition,
@@ -320,8 +318,8 @@ def coverage_analysis(system: DemandSystem, partition: Partition,
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, not {noise_sigma}")
     gte = global_treatment_effect(system, policy, metric)
-    aa, treated = _map_draws([(system, partition, metric, [seed], arm, (stream, noise_sigma))
-                              for arm, stream in [(PricePolicy(1.0), 0), (policy, 2)]], p, workers)
+    aa, treated = _map_draws([_Experiment(system, partition, metric, [seed], arm, (s, noise_sigma))
+                              for arm, s in [(PricePolicy(1.0), 0), (policy, 2)]], p, workers)
     aa_sd = float(aa.std(ddof=1))
     defined = aa_sd != 0.0
     coverage_rate = mean_z = float("nan")

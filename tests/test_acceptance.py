@@ -101,7 +101,7 @@ def test_criterion_02_closed_form_bias(announce):
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
         policy = PricePolicy(0.9)
         est = run_experiment(system, Assignment(np.array([True, False])),
-                             policy, Metric.UNITS).lift
+                             policy, Metric.UNITS)
         gte = global_treatment_effect(system, policy, Metric.UNITS)
         bias = (est - gte) / abs(gte)
         assert est == pytest.approx(0.9 ** -2.5 - 1.0, abs=1e-6)    # 0.301345

@@ -27,6 +27,20 @@ def planted_partition(k: int, size: int) -> Partition:
     return Partition(np.repeat(np.arange(k), size))
 
 
+def rejected_everywhere(make, message: str, tmp_path) -> None:
+    """``make()``'s sessions fail with ``message`` wherever they go, and no file is written."""
+    for use in (build_graph, lambda s: exposure_share(s, Assignment(np.ones(5, dtype=bool))),
+                lambda s: write_sessions(s, tmp_path / "clicks.csv")):
+        with pytest.raises(ValueError, match=message):
+            use(make())
+    assert not (tmp_path / "clicks.csv").exists()
+
+
+def array_built(*views, dtype) -> Clickstream:
+    """Session a viewed ``views[:2]`` and session b the rest, as arrays of ``dtype``."""
+    return Clickstream(["a", "b"], np.array([0, 2, len(views)]), np.array(views, dtype=dtype))
+
+
 class TestSession:
     def test_rejects_empty_view_set(self):
         with pytest.raises(ValueError):
@@ -56,6 +70,8 @@ class TestClickstream:
         assert sessions.ids[0] == "s0" and sessions.ids[-1] == "s11"
         with pytest.raises(IndexError):
             sessions.ids[12]
+        assert sessions.ids[1:3] == ["s1", "s2"]
+        assert sessions.ids[::-1] == [f"s{i}" for i in range(11, -1, -1)]
         listed = list(sessions)
         assert [s.session_id for s in listed] == [f"s{i}" for i in range(12)]
         assert [sorted(s.viewed) for s in listed] == [
@@ -101,6 +117,10 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
+        # An array of a dtype that holds no integer makes every view, the first too, an offender.
+        dtype = np.asarray(article).dtype
+        rejected_everywhere(lambda: array_built(0, 2, article, 4, dtype=dtype),
+                            "^session a: article ids must be integers$", tmp_path)
 
     @pytest.mark.parametrize("article", [2**63, np.uint64(2**63)])
     def test_article_ids_outside_int64_rejected(self, article, tmp_path):
@@ -113,6 +133,8 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
+        rejected_everywhere(lambda: array_built(0, 2, article, 4, dtype=np.uint64), message,
+                            tmp_path)
         # The int64 maximum is an id, which the article range then rejects.
         sessions[1] = Session("b", frozenset({2**63 - 1, 4}))
         with pytest.raises(ValueError, match=f"^session b: article {2**63 - 1} is not among"):
@@ -130,10 +152,22 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
+        if article >= -2**63:  # what an integer array can hold
+            dtype = np.asarray(article).dtype
+            rejected_everywhere(lambda: array_built(0, 2, article, 4, dtype=dtype), message,
+                                tmp_path)
 
     def test_numpy_integer_ids_are_articles(self):
         sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
         assert build_graph(sessions).edges == {(0, 2): 1}
+
+    def test_int32_ids_build_the_int64_graph(self):
+        # An int32 pair key min * n + max would overflow at n = 100,000.
+        sessions = Clickstream(["a"], np.array([0, 2]), np.array([70000, 99999], dtype=np.int32))
+        assert sessions.article.dtype == np.int64
+        graph = build_graph(sessions, 100000)
+        assert graph.edges == {(70000, 99999): 1}
+        assert graph.src.dtype == graph.dst.dtype == np.int64
 
     def test_a_generator_of_sessions_is_read_once(self):
         sessions = list(generate_sessions(planted_partition(4, 5), 100, 1, 4, 0.5, seed=5))

@@ -370,6 +370,16 @@ class TestFrontier:
             frontier(system, sessions, gammas=[1.0], policy=PricePolicy(0.9),
                      metric=Metric.UNITS, p=1, seed=43, workers=2)
 
+    def test_rejects_no_gammas_before_the_graph(self, monkeypatch):
+        monkeypatch.setattr("interference_lab.clustering.build_graph",
+                            lambda *a: pytest.fail("graph built"))
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 100, 2, 4, purity=0.5, seed=42)
+        with pytest.raises(ValueError, match="^gammas must be non-empty$"):
+            frontier(system, sessions, gammas=[], policy=PricePolicy(0.9),
+                     metric=Metric.UNITS, p=10, seed=43)
+
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0])
     def test_rejects_a_bad_gamma_before_any_work(self, gamma, monkeypatch):
         monkeypatch.setattr("interference_lab.clustering._louvain",

@@ -6,8 +6,6 @@ are kept here as references. The gathers visit the same elements in the same
 order, so every sum must come out with the same bits.
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +20,7 @@ from interference_lab import (
     run_experiment,
 )
 from interference_lab.demand import base_metric_values, metric_values
-from interference_lab.experiment import Estimate, _draw_chunk
+from interference_lab.experiment import _Experiment
 
 
 def reference_demand_at(system, mu):
@@ -51,8 +49,7 @@ def reference_run_experiment(system, assignment, policy, metric, noise=None):
     control_outcome = float(values[~t].sum())
     treated_base = float(bases[t].sum())
     control_base = float(bases[~t].sum())
-    lift = (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
-    return Estimate(lift)
+    return (treated_outcome / treated_base) / (control_outcome / control_base) - 1.0
 
 
 def reference_estimate_chunk(system, strategy, policy, metric, master, ks):
@@ -60,7 +57,7 @@ def reference_estimate_chunk(system, strategy, policy, metric, master, ks):
     for k in ks:
         rng = np.random.default_rng(list(master) + [int(k)])
         a = assign(strategy, rng)
-        out.append(run_experiment(system, a, policy, metric).lift)
+        out.append(run_experiment(system, a, policy, metric))
     return out
 
 
@@ -70,17 +67,17 @@ def reference_coverage_chunk(system, strategy, policy, metric, seed, sigma, ks):
         aa_rng = np.random.default_rng([seed, int(k), 0])
         aa_noise = np.exp(np.random.default_rng([seed, int(k), 1]).normal(0.0, sigma, system.n))
         aa = run_experiment(system, assign(strategy, aa_rng),
-                            PricePolicy(1.0), metric, noise=aa_noise).lift
+                            PricePolicy(1.0), metric, noise=aa_noise)
         tr_rng = np.random.default_rng([seed, int(k), 2])
         tr_noise = np.exp(np.random.default_rng([seed, int(k), 3]).normal(0.0, sigma, system.n))
         tr = run_experiment(system, assign(strategy, tr_rng),
-                            policy, metric, noise=tr_noise).lift
+                            policy, metric, noise=tr_noise)
         out.append((aa, tr))
     return out
 
 
-def bits(estimate):
-    return [float(x).hex() for x in dataclasses.astuple(estimate)]
+def bits(lift):
+    return float(lift).hex()
 
 
 # Odd and even n, small and past numpy's 128-element pairwise-sum blocks.
@@ -122,9 +119,9 @@ def test_draw_chunk_keeps_the_per_draw_seeds(n, system_seed, seed, level, metric
     system = draw_system(n, system_seed)
     strategy, policy = draw_strategy(system, level), PricePolicy(multiplier)
     ks = np.asarray(ks)
-    assert _draw_chunk(system, strategy, metric, [seed, 1], policy, None, ks) == \
+    assert _Experiment(system, strategy, metric, [seed, 1], policy, None).lifts(ks) == \
         reference_estimate_chunk(system, strategy, policy, metric, [seed, 1], ks)
-    aa = _draw_chunk(system, strategy, metric, [seed], PricePolicy(1.0), (0, 0.05), ks)
-    treated = _draw_chunk(system, strategy, metric, [seed], policy, (2, 0.05), ks)
+    aa = _Experiment(system, strategy, metric, [seed], PricePolicy(1.0), (0, 0.05)).lifts(ks)
+    treated = _Experiment(system, strategy, metric, [seed], policy, (2, 0.05)).lifts(ks)
     assert list(zip(aa, treated)) == \
         reference_coverage_chunk(system, strategy, policy, metric, seed, 0.05, ks)

@@ -25,6 +25,7 @@ from interference_lab import (
     sweep_substitution,
 )
 from interference_lab.experiment import (
+    _Experiment,
     _map_draws,
     _parallel_map,
     mc_standard_error,
@@ -95,7 +96,7 @@ class TestEstimator:
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
         est = run_experiment(system, Assignment(np.array([True, False])),
                              PricePolicy(0.9), Metric.UNITS)
-        assert est.lift == pytest.approx(0.9 ** -2.5 - 1.0, rel=1e-12)
+        assert est == pytest.approx(0.9 ** -2.5 - 1.0, rel=1e-12)
 
     def test_scale_free_under_group_imbalance(self):
         # doubling every base quantity in one group leaves the lift unchanged
@@ -105,17 +106,17 @@ class TestEstimator:
                              quantities=[5.0, 1.0, 1.0])
         a = Assignment(np.array([True, False, False]))
         pol = PricePolicy(0.9)
-        lift_base = run_experiment(base, a, pol, Metric.UNITS).lift
-        lift_scaled = run_experiment(scaled, a, pol, Metric.UNITS).lift
+        lift_base = run_experiment(base, a, pol, Metric.UNITS)
+        lift_scaled = run_experiment(scaled, a, pol, Metric.UNITS)
         assert lift_scaled == pytest.approx(lift_base, rel=1e-12)
 
     def test_label_swap_symmetry(self):
         # swapping labels and m -> 1/m maps lift to 1/(1+lift) - 1
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
         fwd = run_experiment(system, Assignment(np.array([True, False])),
-                             PricePolicy(0.9), Metric.UNITS).lift
+                             PricePolicy(0.9), Metric.UNITS)
         rev = run_experiment(system, Assignment(np.array([False, True])),
-                             PricePolicy(1 / 0.9), Metric.UNITS).lift
+                             PricePolicy(1 / 0.9), Metric.UNITS)
         assert rev == pytest.approx(1.0 / (1.0 + fwd) - 1.0, rel=1e-12)
 
     def test_rejects_degenerate_groups(self):
@@ -135,7 +136,7 @@ class TestEstimator:
         clean = run_experiment(system, a, pol, Metric.UNITS)
         noisy = run_experiment(system, a, pol, Metric.UNITS,
                                noise=np.array([2.0, 1.0]))
-        assert 1 + noisy.lift == pytest.approx(2 * (1 + clean.lift), rel=1e-12)
+        assert 1 + noisy == pytest.approx(2 * (1 + clean), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,7 +146,7 @@ def test_interference_inflates_the_estimate(m, beta):
     # price cut + substitution depresses control demand, so lift > GTE
     system = make_system([-2.0, -2.0], [0, 0], [beta])
     lift = run_experiment(system, Assignment(np.array([True, False])),
-                          PricePolicy(m), Metric.UNITS).lift
+                          PricePolicy(m), Metric.UNITS)
     gte = global_treatment_effect(system, PricePolicy(m), Metric.UNITS)
     assert lift > gte
 
@@ -257,7 +258,7 @@ class TestMonteCarloBias:
         article = Partition(np.arange(small_system.n))
         lifts = [run_experiment(small_system,
                                 assign(article, np.random.default_rng([*entries, k])),
-                                policy, metric).lift for k in range(p)]
+                                policy, metric) for k in range(p)]
         r = monte_carlo_bias(small_system, article, policy, metric, p, master_seed)
         assert r.mean_estimate == np.asarray(lifts).mean()
         assert r.seed == entries[0]
@@ -343,10 +344,11 @@ class TestMapDraws:
     def test_each_task_of_a_mixed_batch_gets_its_own_lifts(self, small_system, workers):
         # Coverage's A/A and treated runs, then one bias run.
         article = Partition(np.arange(small_system.n))
-        tasks = [(small_system, article, Metric.UNITS, [4], PricePolicy(1.0), (0, 0.05)),
-                 (small_system, article, Metric.UNITS, [4], PricePolicy(0.95), (2, 0.05)),
-                 (small_system, small_system.partition, Metric.UNITS, [4, 1, 2],
-                  PricePolicy(0.95), None)]
+        tasks = [_Experiment(*t) for t in [
+            (small_system, article, Metric.UNITS, [4], PricePolicy(1.0), (0, 0.05)),
+            (small_system, article, Metric.UNITS, [4], PricePolicy(0.95), (2, 0.05)),
+            (small_system, small_system.partition, Metric.UNITS, [4, 1, 2], PricePolicy(0.95),
+             None)]]
         batched = _map_draws(tasks, 30, workers)
         assert [lifts.shape for lifts in batched] == [(30,)] * 3
         for lifts, task in zip(batched, tasks):
@@ -360,8 +362,8 @@ class TestMapDraws:
     def test_a_non_finite_second_task_is_its_own_error(self, small_system, workers, run,
                                                        cause):
         article = Partition(np.arange(small_system.n))
-        fine = (small_system, article, Metric.UNITS, [1], PricePolicy(0.95), None)
-        bad = (small_system, article, Metric.UNITS, [2], *run)
+        fine = _Experiment(small_system, article, Metric.UNITS, [1], PricePolicy(0.95), None)
+        bad = _Experiment(small_system, article, Metric.UNITS, [2], *run)
         errors = []
         for tasks in ([bad], [fine, bad]):
             with pytest.raises(ValueError, match=f"^an experiment estimate is not finite: {cause} "

@@ -34,7 +34,7 @@ from interference_lab import (
     monte_carlo_bias,
 )
 from interference_lab.demand import base_metric_values
-from interference_lab.experiment import _map_draws
+from interference_lab.experiment import _Experiment, _map_draws
 
 K_SE = 3
 C_OVER_N = 0.2
@@ -95,8 +95,8 @@ def test_limit_predicts_criterion_9_mean_z():
     report = coverage_analysis(strong, Partition(np.arange(strong.n)), policy, metric, p=p,
                                seed=77, noise_sigma=sigma)
     # The treated run's draws, to size the Monte-Carlo SE of mean_z.
-    [treated] = _map_draws([(strong, Partition(np.arange(strong.n)), metric, [77], policy,
-                             (2, sigma))], p, 1)
+    [treated] = _map_draws([_Experiment(strong, Partition(np.arange(strong.n)), metric, [77],
+                                        policy, (2, sigma))], p, 1)
     z = (treated - report.gte) / report.aa_sd
     assert z.mean() == pytest.approx(report.mean_z, rel=1e-12)
     predicted = (limit_lift(strong, policy, metric, "article") - report.gte) / report.aa_sd
