@@ -73,7 +73,8 @@ class _Numbered(Sequence):
 class Clickstream:
     """Session s is ``ids[s]`` and viewed ``article[indptr[s]:indptr[s + 1]]``, ascending.
 
-    ``len`` counts the sessions; iterating yields them as ``Session`` objects.
+    ``len`` counts the sessions; iterating yields them as ``Session`` objects. Both arrays
+    are read-only views.
     """
 
     ids: Sequence[str]
@@ -84,11 +85,17 @@ class Clickstream:
         # Checked once here; ``of`` passes a Clickstream through, checking only the range.
         article = np.asarray(self.article)
         object.__setattr__(self, "article", article)
-        if article.dtype.kind not in "iu":
+        if article.dtype.kind not in "iu":  # named by its first view, if it has one
             self._reject(np.ones(article.size, dtype=bool), "article ids must be integers")
+            raise ValueError("article ids must be integers")
         self._reject(article < 0, "article id {} is negative")
         self._reject(article >= 2**63, "article id {} is outside int64")
         object.__setattr__(self, "article", article.astype(np.int64, copy=False))
+        # Read-only views keep the checked ids as checked and leave the caller's arrays writable.
+        for name in ("indptr", "article"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def _reject(self, bad: np.ndarray, problem: str) -> None:
         if bad.any():
@@ -251,9 +258,13 @@ def read_sessions(path, n_articles: int | None = None) -> Clickstream:
     # Ids must fit in int64 even when no article count is declared.
     limit = 2**63 if n_articles is None else n_articles
     codes, code, article = _read_plain(path, limit) or _read_rows(path, limit)
+    code, article = np.frombuffer(code, dtype=np.int64), np.frombuffer(article, dtype=np.int64)
+    # A declared space whose (session, article) keys fit in int64 needs one sort, not two.
+    if n_articles is not None and max(len(codes), 1) * int(n_articles) < 2**63:
+        return Clickstream(list(codes), *_group(code, article, len(codes), n_articles))
     # Ranking the ids first keeps the (session, rank) key far below 2**63.
-    ids, rank = np.unique(np.frombuffer(article, dtype=np.int64), return_inverse=True)
-    indptr, rank = _group(np.frombuffer(code, dtype=np.int64), rank, len(codes), ids.size)
+    ids, rank = np.unique(article, return_inverse=True)
+    indptr, rank = _group(code, rank, len(codes), ids.size)
     return Clickstream(list(codes), indptr, ids[rank])
 
 

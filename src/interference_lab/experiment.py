@@ -13,6 +13,7 @@ intervals. Their unit of work is the ``_Experiment``.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -176,20 +177,34 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_worker_fn = None  # what a pool's jobs call; set in each pool worker only, never in the caller
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_job(*job):
+    return _worker_fn(*job)
+
+
 def _parallel_map(fn, jobs, workers: int) -> list:
     """``fn(*job)`` for each job, in order, on a pool of ``workers`` processes.
 
     The pool has at most ``usable_cpus()`` processes, which start at the first
     job under the fork start method; with ``workers`` <= 1, or no jobs, there
-    is no pool. Each command makes at most one call, so it starts at most one
-    pool. When the call returns or raises, pending jobs are cancelled and no
-    worker outlives it.
+    is no pool. Each worker gets ``fn`` once, when it starts: inherited under
+    fork, pickled under spawn or forkserver. A job sends only its arguments.
+    A command makes one call at most, so one pool at most. When the call
+    returns or raises, pending jobs are cancelled and no worker outlives it.
     """
     if workers <= 1 or not jobs:
         return [fn(*job) for job in jobs]
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, usable_cpus()))
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, usable_cpus()),
+                                                  initializer=_set_worker_fn, initargs=(fn,))
     try:
-        return list(pool.map(fn, *zip(*jobs)))
+        return list(pool.map(_run_job, *zip(*jobs)))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -199,12 +214,20 @@ def _check_p(p: int) -> None:
         raise ValueError("p must be >= 2")
 
 
+def _lifts_of(experiments: list[_Experiment], i: int, ks) -> list[float]:
+    return experiments[i].lifts(ks)
+
+
 def _map_draws(experiments: list[_Experiment], p: int, workers: int) -> list[np.ndarray]:
-    """Lifts of draws 0..p-1 of each experiment, one vector each, from one ``_parallel_map``."""
+    """Lifts of draws 0..p-1 of each experiment, one vector each, from one ``_parallel_map``.
+
+    A job ``(i, ks)`` names an experiment and its draws; the experiments reach a worker once.
+    """
     _check_p(p)
     # Four chunks per process of the pool, which ``_parallel_map`` caps at ``usable_cpus()``.
     chunks = np.array_split(np.arange(p), max(1, min(4 * min(workers, usable_cpus()), p)))
-    parts = iter(_parallel_map(_Experiment.lifts, list(product(experiments, chunks)), workers))
+    parts = iter(_parallel_map(functools.partial(_lifts_of, experiments),
+                               list(product(range(len(experiments)), chunks)), workers))
     out = [np.asarray([x for _ in chunks for x in next(parts)]) for _ in experiments]
     for lifts, e in zip(out, experiments):
         if not np.isfinite(lifts).all():

@@ -157,6 +157,28 @@ class TestClickstream:
             rejected_everywhere(lambda: array_built(0, 2, article, 4, dtype=dtype), message,
                                 tmp_path)
 
+    @pytest.mark.parametrize("dtype", [str, float])
+    def test_an_empty_non_integer_array_is_rejected(self, dtype, tmp_path):
+        with pytest.raises(ValueError, match="^article ids must be integers$"):
+            Clickstream([], np.array([0]), np.array([], dtype=dtype))
+        path = tmp_path / "clicks.csv"
+        path.write_text("session_id,article_id\n")
+        for empty in (Clickstream([], np.array([0]), np.array([], dtype=np.int32)),
+                      read_sessions(path), read_sessions(path, n_articles=5)):
+            assert empty.article.dtype == np.int64 and len(empty) == 0
+
+    def test_checked_arrays_cannot_be_edited(self, tmp_path):
+        indptr, article = np.array([0, 1, 2]), np.array([0, 2])
+        sessions = Clickstream(["a", "b"], indptr, article)
+        with pytest.raises(ValueError, match="read-only"):
+            sessions.article[0] = -1
+            write_sessions(sessions, tmp_path / "clicks.csv")
+        with pytest.raises(ValueError, match="read-only"):
+            sessions.indptr[0] = 1
+        assert not (tmp_path / "clicks.csv").exists()
+        # Only the stored views are read-only: the caller's own arrays stay writable.
+        assert indptr.flags.writeable and article.flags.writeable
+
     def test_numpy_integer_ids_are_articles(self):
         sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
         assert build_graph(sessions).edges == {(0, 2): 1}
@@ -298,6 +320,28 @@ class TestSessionIO:
                             Session(Unprintable(), frozenset({4}))], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["clicks.csv"]
+
+    def test_a_declared_article_count_reads_the_same_arrays(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        write_sessions(generate_sessions(planted_partition(40, 25), 300, 1, 6, 0.7, seed=6), path)
+        with path.open("a") as fh:
+            fh.write("s7,999\ns0,3\ns0,3\nlate,0\n")
+        undeclared = read_sessions(path)
+        for n in (1000, 2**40):
+            declared = read_sessions(path, n_articles=n)
+            assert declared.ids == undeclared.ids
+            np.testing.assert_array_equal(declared.indptr, undeclared.indptr)
+            np.testing.assert_array_equal(declared.article, undeclared.article)
+            assert declared.article.dtype == np.int64
+
+    def test_a_declared_count_too_large_for_session_keys(self, tmp_path):
+        # 2 sessions times 2**62 articles is 2**63: the (session, article) key would overflow.
+        path = tmp_path / "clicks.csv"
+        path.write_text(f"session_id,article_id\nb,{2**62 - 1}\na,5\nb,0\na,5\n")
+        sessions = read_sessions(path, n_articles=2**62)
+        assert sessions.ids == ["b", "a"]
+        assert sessions.indptr.tolist() == [0, 2, 3]
+        assert sessions.article.tolist() == [0, 2**62 - 1, 5]
 
     def test_empty_file_returns_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,8 +1,10 @@
 """Tests for randomization, the lift estimator, and Monte-Carlo bias."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interference_lab.experiment as experiment_module
 from interference_lab import (
     Assignment,
     GeneratorConfig,
@@ -372,6 +375,60 @@ class TestMapDraws:
             errors.append(str(error.value))
         assert errors[1] == errors[0]
         assert multiprocessing.active_children() == []
+
+
+class TestPoolWorkers:
+    """Each pool worker gets the experiments once, when it starts; a job names only its draws."""
+
+    def test_a_job_carries_no_system(self, monkeypatch):
+        system = generate_demand_system(GeneratorConfig(n=10_000), seed=7)
+        sent = []
+
+        def recording_map(fn, jobs, workers):
+            sent.extend(jobs)
+            return _parallel_map(fn, jobs, workers)
+
+        monkeypatch.setattr("interference_lab.experiment._parallel_map", recording_map)
+        monte_carlo_bias(system, Partition(np.arange(system.n)), PricePolicy(0.95), Metric.UNITS,
+                         p=8, master_seed=1, workers=2)
+        # An n = 10,000 system with its partition pickles to about 400 KB.
+        assert sent and max(len(pickle.dumps(job)) for job in sent) < 2048
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_worker_function_is_never_set_in_the_caller(self, small_system, workers):
+        monte_carlo_bias(small_system, Partition(np.arange(small_system.n)), PricePolicy(0.95),
+                         Metric.UNITS, p=8, master_seed=1, workers=workers)
+        assert experiment_module._worker_fn is None
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods_that_pickle_the_experiments_give_the_serial_bits(
+            self, small_system, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        built = []
+
+        class Started(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=multiprocessing.get_context(method), **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Started)
+        article = Partition(np.arange(small_system.n))
+        bias = dict(policy=PricePolicy(0.95), metric=Metric.REVENUE, p=16, master_seed=3)
+        cover = dict(policy=PricePolicy(0.95), metric=Metric.UNITS, p=16, seed=4)
+        assert monte_carlo_bias(small_system, article, workers=2, **bias) == \
+            monte_carlo_bias(small_system, article, workers=1, **bias)
+        assert coverage_analysis(small_system, article, workers=2, **cover) == \
+            coverage_analysis(small_system, article, workers=1, **cover)
+        assert [pool._mp_context.get_start_method() for pool in built] == [method] * 2
+        assert multiprocessing.active_children() == []
+        assert experiment_module._worker_fn is None
+
+    def test_a_failing_job_raises_in_the_caller(self):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            _parallel_map(int, [("x",)], 2)
+        assert multiprocessing.active_children() == []
+        assert experiment_module._worker_fn is None
 
 
 class TestCoverage:
