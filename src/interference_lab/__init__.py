@@ -13,7 +13,6 @@ from .demand import (
     outcome,
 )
 from .experiment import (
-    Assignment,
     BiasReport,
     CoverageReport,
     assign,

@@ -284,9 +284,8 @@ def cmd_exposure(args) -> None:
         raise RuntimeError("cluster strategy needs --partition or --system")
     sessions = _sessions(args, part)
     n = part.n if part else int(sessions.article.max()) + 1
-    assignment = experiment.assign(_strategy(args, part, n),
-                                   np.random.default_rng([args.seed, 1]))
-    reports.write_exposure(args.out, clickstream.exposure_share(sessions, assignment))
+    treated = experiment.assign(_strategy(args, part, n), np.random.default_rng([args.seed, 1]))
+    reports.write_exposure(args.out, clickstream.exposure_share(sessions, treated))
 
 
 def cmd_frontier(args) -> None:

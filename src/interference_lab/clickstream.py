@@ -2,18 +2,18 @@
 
 A session is a set of distinct viewed articles. The co-view graph connects
 two articles with weight equal to the number of sessions that contained both.
-Exposure classifies each session by the treatment labels it saw; the share of
-sessions seeing both arms is the interference heuristic used to judge a
-clustering.
+Exposure classifies each session by what it saw of a treated mask, a 1-d bool
+array over the articles; the share of sessions seeing both arms is the
+interference heuristic used to judge a clustering.
 
 Sessions are held as a ``Clickstream``: one id per session and a CSR view
 (``indptr``, ``article``) of what each viewed. ``generate_sessions`` and
 ``read_sessions`` return one; ``build_graph``, ``exposure_share``,
 ``write_sessions`` and ``clustering.frontier`` take one, or any iterable of
 ``Session`` objects, which ``Clickstream.of`` converts. A Clickstream checks
-its article ids once, when built, so the writer rejects what every command
-rejects. A graph is held as ``src``/``dst``/``w`` edge arrays. Weights are
-int64 counts, so every weight sum is exact whatever its order.
+copies of its arrays once, when built, so the writer rejects what every
+command rejects. A graph is held as ``src``/``dst``/``w`` edge arrays. Weights
+are int64 counts, so every weight sum is exact whatever its order.
 
 ``read_sessions`` first tries ``_read_plain``, an array parser for plain
 files: ASCII, ``\n`` line ends, no quotes, the exact header and
@@ -41,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from .demand import Partition, csv_records, write_csv
-from .experiment import Assignment
 
 CLICKSTREAM_HEADER = ["session_id", "article_id"]
 
@@ -73,8 +72,9 @@ class _Numbered(Sequence):
 class Clickstream:
     """Session s is ``ids[s]`` and viewed ``article[indptr[s]:indptr[s + 1]]``, ascending.
 
-    ``len`` counts the sessions; iterating yields them as ``Session`` objects. Both arrays
-    are read-only views.
+    ``indptr`` rises strictly from 0 to ``article.size``, so every session views an article
+    (``reduceat`` misreads an empty one). Both arrays are read-only int64 copies. ``len``
+    counts the sessions; iterating yields them as ``Session`` objects.
     """
 
     ids: Sequence[str]
@@ -82,20 +82,28 @@ class Clickstream:
     article: np.ndarray
 
     def __post_init__(self):
-        # Checked once here; ``of`` passes a Clickstream through, checking only the range.
-        article = np.asarray(self.article)
+        # Checked once here, on copies; ``of`` passes a Clickstream through, checking the range.
+        indptr, article = np.array(self.indptr), np.array(self.article)
+        if indptr.ndim != 1 or article.ndim != 1 or indptr.dtype.kind not in "iu":
+            raise ValueError("indptr and article must be 1-d arrays, indptr of integers")
+        indptr = indptr.astype(np.int64, copy=False)
+        if (indptr.size != len(self.ids) + 1 or indptr[0] != 0 or indptr[-1] != article.size
+                or (np.diff(indptr) < 1).any()):
+            raise ValueError(f"indptr must rise strictly from 0 to {article.size} "
+                             f"in {len(self.ids) + 1} offsets")
+        object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "article", article)
         if article.dtype.kind not in "iu":  # named by its first view, if it has one
             self._reject(np.ones(article.size, dtype=bool), "article ids must be integers")
             raise ValueError("article ids must be integers")
         self._reject(article < 0, "article id {} is negative")
         self._reject(article >= 2**63, "article id {} is outside int64")
-        object.__setattr__(self, "article", article.astype(np.int64, copy=False))
-        # Read-only views keep the checked ids as checked and leave the caller's arrays writable.
-        for name in ("indptr", "article"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        article = article.astype(np.int64, copy=False)
+        object.__setattr__(self, "article", article)
+        unordered = np.r_[False, np.diff(article) < 1]
+        unordered[indptr[:-1]] = False  # a session's first view follows the session before
+        self._reject(unordered, "article {} is not above the view before it")
+        indptr.flags.writeable = article.flags.writeable = False
 
     def _reject(self, bad: np.ndarray, problem: str) -> None:
         if bad.any():
@@ -410,11 +418,14 @@ def build_graph(sessions: Clickstream | Iterable[Session],
 
 
 def exposure_share(sessions: Clickstream | Iterable[Session],
-                   assignment: Assignment) -> ExposureReport:
-    """Classify each session by the set of treatment labels it saw."""
-    sessions = Clickstream.of(sessions, assignment.n)
+                   treated: np.ndarray) -> ExposureReport:
+    """Classify each session by the labels of the 1-d bool mask ``treated`` it saw."""
+    treated = np.asarray(treated)
+    if treated.ndim != 1 or treated.dtype != bool:
+        raise ValueError("the treated mask must be a 1-d bool array")
+    sessions = Clickstream.of(sessions, treated.size)
     indptr = sessions.indptr
-    seen = assignment.treated[sessions.article]
+    seen = treated[sessions.article]
     any_treated = np.logical_or.reduceat(seen, indptr[:-1])
     all_treated = np.logical_and.reduceat(seen, indptr[:-1])
     count = len(sessions)

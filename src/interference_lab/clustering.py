@@ -258,9 +258,9 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
         if k >= 2:
-            assignments = (assign(part, np.random.default_rng([seed, idx, 1, d]))
-                           for d in range(exposure_draws))
-            shares = np.asarray([exposure_share(sessions, a).share_both for a in assignments])
+            masks = (assign(part, np.random.default_rng([seed, idx, 1, d]))
+                     for d in range(exposure_draws))
+            shares = np.asarray([exposure_share(sessions, t).share_both for t in masks])
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
             experiments.append(_Experiment(system, part, metric, [seed, idx, 2], policy))

@@ -112,10 +112,13 @@ class Partition:
     cluster_of: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.cluster_of, dtype=np.int64)
-        object.__setattr__(self, "cluster_of", labels)
+        labels = np.asarray(self.cluster_of)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("partition must be a non-empty 1-d label array")
+        if labels.dtype.kind not in "iu":
+            raise ValueError("cluster ids must be integers")
+        labels = labels.astype(np.int64, copy=False)
+        object.__setattr__(self, "cluster_of", labels)
         if labels.min() < 0:
             raise ValueError("cluster ids must be non-negative")
         k = int(labels.max()) + 1

@@ -1,13 +1,13 @@
 """Randomized pricing experiments on simulated demand systems.
 
-A design is the ``Partition`` randomized over: an assignment is a balanced
-random split of its clusters, and the article design is the singleton
-partition ``Partition(np.arange(n))``. ``run_experiment`` returns the lift of
-the ratio-of-relative-lifts estimator, (Y_T / Y_T0) / (Y_C / Y_C0) - 1, which
-is scale-free under group imbalance. Monte Carlo over assignments quantifies
-interference bias against the exact global treatment effect; the coverage
-analysis reproduces the false-positive mechanism of naive A/A-calibrated
-intervals. Their unit of work is the ``_Experiment``.
+A design is the ``Partition`` randomized over: an assignment is the 1-d bool
+mask of the articles that a balanced random split of its clusters treats, and
+the article design is the singleton partition ``Partition(np.arange(n))``.
+``run_experiment`` returns the lift of the ratio-of-relative-lifts estimator,
+(Y_T / Y_T0) / (Y_C / Y_C0) - 1, which is scale-free under group imbalance.
+Monte Carlo over assignments quantifies interference bias against the exact
+global treatment effect; the coverage analysis reproduces the false-positive
+mechanism of naive A/A-calibrated intervals. Both run on ``_Experiment``s.
 """
 
 from __future__ import annotations
@@ -36,23 +36,6 @@ from .demand import (
 
 GTE_ABS_FLOOR = 1e-12
 DEFAULT_NOISE_SIGMA = 0.05  # lognormal observation noise of the coverage analysis
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Per-article treatment labels (True = Treatment)."""
-
-    treated: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.treated, dtype=bool)
-        object.__setattr__(self, "treated", t)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("assignment must be a non-empty 1-d boolean vector")
-
-    @property
-    def n(self) -> int:
-        return int(self.treated.size)
 
 
 @dataclass(frozen=True)
@@ -101,26 +84,30 @@ class SweepRow:
     report: BiasReport
 
 
-def assign(partition: Partition, rng: np.random.Generator) -> Assignment:
-    """Draw a balanced random split of the clusters; whole clusters share a label."""
+def assign(partition: Partition, rng: np.random.Generator) -> np.ndarray:
+    """The treated mask of a balanced random split of the clusters, whole clusters alike."""
     k, unit_of = partition.n_clusters, partition.cluster_of
     if k < 2:
         raise ValueError("randomization needs >= 2 units (articles or clusters)")
     treated = np.zeros(k, dtype=bool)
     treated[rng.permutation(k)[: k // 2]] = True
-    return Assignment(treated[unit_of])
+    return treated[unit_of]
 
 
-def run_experiment(system: DemandSystem, assignment: Assignment, policy: PricePolicy,
+def run_experiment(system: DemandSystem, treated: np.ndarray, policy: PricePolicy,
                    metric: Metric, noise: np.ndarray | None = None) -> float:
     """The lift one experiment measures; cross-group interference is fully present.
 
-    ``noise`` optionally multiplies realized quantities article-wise
-    (observation noise for the coverage analysis); baselines stay noise-free.
+    ``treated`` is the 1-d bool mask of treated articles. ``noise`` optionally
+    multiplies realized quantities article-wise (observation noise for the
+    coverage analysis); baselines stay noise-free.
     """
-    if assignment.n != system.n:
+    treated = np.asarray(treated)
+    if treated.ndim != 1 or treated.dtype != bool:
+        raise ValueError("the treated mask must be a 1-d bool array")
+    if treated.size != system.n:
         raise ValueError("assignment length does not match the system")
-    it, ic = np.flatnonzero(assignment.treated), np.flatnonzero(~assignment.treated)
+    it, ic = np.flatnonzero(treated), np.flatnonzero(~treated)
     if it.size == 0 or ic.size == 0:
         raise ValueError("both treatment groups must be non-empty")
     mu = np.ones(system.n)
@@ -165,8 +152,9 @@ class _Experiment:
                     noise_rng = np.random.default_rng(seed + [stream + 1])
                     factor = np.exp(noise_rng.normal(0.0, sigma, self.system.n))
                     seed.append(stream)
-                a = assign(self.partition, np.random.default_rng(seed))
-                out.append(run_experiment(self.system, a, self.policy, self.metric, noise=factor))
+                treated = assign(self.partition, np.random.default_rng(seed))
+                out.append(run_experiment(self.system, treated, self.policy, self.metric,
+                                          noise=factor))
         return out
 
 

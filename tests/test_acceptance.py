@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from interference_lab import (
-    Assignment,
     GeneratorConfig,
     MetaExperimentInput,
     Metric,
@@ -100,7 +99,7 @@ def test_criterion_02_closed_form_bias(announce):
 
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
         policy = PricePolicy(0.9)
-        est = run_experiment(system, Assignment(np.array([True, False])),
+        est = run_experiment(system, np.array([True, False]),
                              policy, Metric.UNITS)
         gte = global_treatment_effect(system, policy, Metric.UNITS)
         bias = (est - gte) / abs(gte)

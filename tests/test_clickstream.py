@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
-    Assignment,
     Clickstream,
     Partition,
     Session,
@@ -29,7 +28,7 @@ def planted_partition(k: int, size: int) -> Partition:
 
 def rejected_everywhere(make, message: str, tmp_path) -> None:
     """``make()``'s sessions fail with ``message`` wherever they go, and no file is written."""
-    for use in (build_graph, lambda s: exposure_share(s, Assignment(np.ones(5, dtype=bool))),
+    for use in (build_graph, lambda s: exposure_share(s, np.ones(5, dtype=bool)),
                 lambda s: write_sessions(s, tmp_path / "clicks.csv")):
         with pytest.raises(ValueError, match=message):
             use(make())
@@ -90,7 +89,7 @@ class TestClickstream:
         path = tmp_path / "clicks.csv"
         path.write_text("session_id,article_id\na,0\na,1\nb,2\nb,5\n")
         sessions = read_sessions(path)
-        assignment = Assignment(np.array([True, False, False, True]))
+        assignment = np.array([True, False, False, True])
         with pytest.raises(ValueError, match="^session b: article 5 is not among the 4 "
                                              "articles$"):
             exposure_share(sessions, assignment)
@@ -113,7 +112,7 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):
-            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+            exposure_share(sessions, np.ones(5, dtype=bool))
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
@@ -129,7 +128,7 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):
-            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+            exposure_share(sessions, np.ones(5, dtype=bool))
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
@@ -138,7 +137,7 @@ class TestClickstream:
         # The int64 maximum is an id, which the article range then rejects.
         sessions[1] = Session("b", frozenset({2**63 - 1, 4}))
         with pytest.raises(ValueError, match=f"^session b: article {2**63 - 1} is not among"):
-            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+            exposure_share(sessions, np.ones(5, dtype=bool))
 
     @pytest.mark.parametrize("article", [-1, np.int8(-1), -2**63, -2**63 - 1])
     def test_negative_article_ids_rejected(self, article, tmp_path):
@@ -148,7 +147,7 @@ class TestClickstream:
         with pytest.raises(ValueError, match=message):
             build_graph(sessions)
         with pytest.raises(ValueError, match=message):
-            exposure_share(sessions, Assignment(np.ones(5, dtype=bool)))
+            exposure_share(sessions, np.ones(5, dtype=bool))
         with pytest.raises(ValueError, match=message):
             write_sessions(sessions, tmp_path / "clicks.csv")
         assert not (tmp_path / "clicks.csv").exists()
@@ -176,8 +175,32 @@ class TestClickstream:
         with pytest.raises(ValueError, match="read-only"):
             sessions.indptr[0] = 1
         assert not (tmp_path / "clicks.csv").exists()
-        # Only the stored views are read-only: the caller's own arrays stay writable.
+        # Only the stored copies are read-only: the caller's own arrays stay writable.
         assert indptr.flags.writeable and article.flags.writeable
+
+    def test_the_callers_arrays_cannot_edit_the_checked_ids(self, tmp_path):
+        indptr, article = np.array([0, 1, 2]), np.array([0, 2])
+        sessions = Clickstream(["a", "b"], indptr, article)
+        indptr[1], article[1] = 2, -1
+        write_sessions(sessions, tmp_path / "clicks.csv")
+        assert (tmp_path / "clicks.csv").read_text() == "session_id,article_id\na,0\nb,2\n"
+
+    @pytest.mark.parametrize("ids, indptr, article, message", [
+        ("a", [0, 5], [1, 2], "^indptr must rise strictly from 0 to 2 in 2 offsets$"),
+        ("ab", [0, 2, 1], [1, 2], "^indptr must rise strictly from 0 to 2 in 3 offsets$"),
+        ("a", [1, 2], [1, 2], "^indptr must rise strictly from 0 to 2 in 2 offsets$"),
+        ("abc", [0, 2], [1, 2], "^indptr must rise strictly from 0 to 2 in 4 offsets$"),
+        ("a", [0, 2], [3, 3], "^session a: article 3 is not above the view before it$"),
+        ("abc", [0, 1, 1, 2], [1, 2], "^indptr must rise strictly from 0 to 2 in 4 offsets$"),
+        ("a", [0.0, 2.0], [1, 2], "^indptr and article must be 1-d arrays, indptr of integers$"),
+        ("a", [[0, 2]], [1, 2], "^indptr and article must be 1-d arrays, indptr of integers$"),
+        ("a", [0, 1], 1, "^indptr and article must be 1-d arrays, indptr of integers$"),
+        ("ab", [0, 2, 4], [5, 6, 2, 1], "^session b: article 1 is not above the view before it$"),
+    ], ids=["past-the-views", "falling", "not-from-0", "too-few-offsets", "repeated-view",
+            "empty-session", "float-offsets", "2-d-offsets", "0-d-article", "descending"])
+    def test_the_csr_arrays_are_checked(self, ids, indptr, article, message):
+        with pytest.raises(ValueError, match=message):
+            Clickstream(list(ids), np.array(indptr), np.array(article))
 
     def test_numpy_integer_ids_are_articles(self):
         sessions = [Session("a", frozenset({np.int32(0), np.uint8(2)}))]
@@ -426,7 +449,7 @@ class TestExposure:
                     Session("b", frozenset({0})),      # treated only
                     Session("c", frozenset({1, 2})),   # control only
                     Session("d", frozenset({0, 2}))]   # both
-        a = Assignment(np.array([True, False, False, True]))
+        a = np.array([True, False, False, True])
         r = exposure_share(sessions, a)
         assert r.share_both == pytest.approx(0.5)
         assert r.share_treated_only == pytest.approx(0.25)
@@ -449,6 +472,14 @@ class TestExposure:
 
     def test_unknown_article_rejected(self):
         sessions = [Session("a", frozenset({5}))]
-        a = Assignment(np.array([True, False]))
+        a = np.array([True, False])
         with pytest.raises(ValueError):
             exposure_share(sessions, a)
+
+    @pytest.mark.parametrize("mask", [np.ones((2, 2), dtype=bool), np.array([1, 0, 0, 1]),
+                                      np.array([1.0, 0.0, 0.0, 1.0])],
+                             ids=["2-d", "int", "float"])
+    def test_a_mask_that_is_not_1d_bool_is_rejected(self, mask):
+        sessions = [Session("a", frozenset({0, 1}))]
+        with pytest.raises(ValueError, match="^the treated mask must be a 1-d bool array$"):
+            exposure_share(sessions, mask)

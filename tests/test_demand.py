@@ -60,6 +60,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition(np.array([], dtype=np.int64))
 
+    def test_rejects_non_integer_ids(self):
+        # Converting them to int64 would make 1.7 cluster 1 and True cluster 1.
+        for labels in ([0, 1.7, 1], np.array([True, False])):
+            with pytest.raises(ValueError, match="^cluster ids must be integers$"):
+                Partition(labels)
+        # An empty list is a float array, but the emptiness is what its message names.
+        with pytest.raises(ValueError, match="^partition must be a non-empty 1-d label array$"):
+            Partition([])
+
 
 class TestElasticities:
     def test_rejects_nonnegative_own(self):

@@ -37,8 +37,7 @@ def reference_demand_at(system, mu):
     return system.base_quantities * np.exp(exponent)
 
 
-def reference_run_experiment(system, assignment, policy, metric, noise=None):
-    t = assignment.treated
+def reference_run_experiment(system, t, policy, metric, noise=None):
     mu = np.where(t, policy.treated_multiplier, 1.0)
     q = reference_demand_at(system, mu)
     if noise is not None:

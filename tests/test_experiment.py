@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import interference_lab.experiment as experiment_module
 from interference_lab import (
-    Assignment,
     GeneratorConfig,
     Metric,
     Partition,
@@ -41,23 +40,23 @@ class TestAssign:
     def test_article_split_is_balanced(self):
         rng = np.random.default_rng(0)
         a = assign(Partition(np.arange(101)), rng)
-        assert a.treated.sum() == 50
+        assert a.sum() == 50
 
     def test_cluster_split_keeps_clusters_intact(self):
         part = Partition(np.repeat(np.arange(10), 7))
         rng = np.random.default_rng(1)
         a = assign(part, rng)
         for c in range(10):
-            labels = a.treated[part.cluster_of == c]
+            labels = a[part.cluster_of == c]
             assert labels.all() or not labels.any()
-        treated_clusters = sum(a.treated[part.cluster_of == c].any()
+        treated_clusters = sum(a[part.cluster_of == c].any()
                                for c in range(10))
         assert treated_clusters == 5
 
     def test_assign_is_seed_deterministic(self):
         a = assign(Partition(np.arange(40)), np.random.default_rng(7))
         b = assign(Partition(np.arange(40)), np.random.default_rng(7))
-        np.testing.assert_array_equal(a.treated, b.treated)
+        np.testing.assert_array_equal(a, b)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -78,26 +77,28 @@ class TestAssign:
         reference = np.zeros(n, dtype=bool)
         reference[np.random.default_rng(seed).permutation(n)[: n // 2]] = True
         article = assign(Partition(np.arange(n)), np.random.default_rng(seed))
-        assert article.treated.tobytes() == reference.tobytes()
+        assert article.tobytes() == reference.tobytes()
 
     def test_assignment_validation(self):
-        with pytest.raises(ValueError):
-            Assignment(np.zeros((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            Assignment(np.array([], dtype=bool))
+        # An int 0/1 mask has the right length, but ``~`` of it is nonzero everywhere.
+        system = make_system([-2.0] * 4, [0, 0, 1, 1], [0.5] * 2)
+        for mask in (np.zeros((2, 2), dtype=bool), np.array([1, 0, 0, 1]),
+                     np.array([1.0, 0.0, 0.0, 1.0])):
+            with pytest.raises(ValueError, match="^the treated mask must be a 1-d bool array$"):
+                run_experiment(system, mask, PricePolicy(0.95), Metric.UNITS)
 
 
 class TestEstimator:
     def test_assignment_of_another_length_is_rejected(self):
         system = generate_demand_system(GeneratorConfig(n=40), seed=0)
         with pytest.raises(ValueError, match="^assignment length does not match the system$"):
-            run_experiment(system, Assignment(np.array([True, False, True])),
+            run_experiment(system, np.array([True, False, True]),
                            PricePolicy(0.95), Metric.REVENUE)
 
     def test_closed_form_two_articles(self):
         # own=-2, beta=0.5, m=0.9: lift = m^(own-beta) - 1.
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
-        est = run_experiment(system, Assignment(np.array([True, False])),
+        est = run_experiment(system, np.array([True, False]),
                              PricePolicy(0.9), Metric.UNITS)
         assert est == pytest.approx(0.9 ** -2.5 - 1.0, rel=1e-12)
 
@@ -107,7 +108,7 @@ class TestEstimator:
                            quantities=[1.0, 1.0, 1.0])
         scaled = make_system([-2.0, -2.0, -2.0], [0, 1, 2], [0.0, 0.0, 0.0],
                              quantities=[5.0, 1.0, 1.0])
-        a = Assignment(np.array([True, False, False]))
+        a = np.array([True, False, False])
         pol = PricePolicy(0.9)
         lift_base = run_experiment(base, a, pol, Metric.UNITS)
         lift_scaled = run_experiment(scaled, a, pol, Metric.UNITS)
@@ -116,9 +117,9 @@ class TestEstimator:
     def test_label_swap_symmetry(self):
         # swapping labels and m -> 1/m maps lift to 1/(1+lift) - 1
         system = make_system([-2.0, -2.0], [0, 0], [0.5])
-        fwd = run_experiment(system, Assignment(np.array([True, False])),
+        fwd = run_experiment(system, np.array([True, False]),
                              PricePolicy(0.9), Metric.UNITS)
-        rev = run_experiment(system, Assignment(np.array([False, True])),
+        rev = run_experiment(system, np.array([False, True]),
                              PricePolicy(1 / 0.9), Metric.UNITS)
         assert rev == pytest.approx(1.0 / (1.0 + fwd) - 1.0, rel=1e-12)
 
@@ -126,15 +127,15 @@ class TestEstimator:
         system = make_system([-2.0, -2.0], [0, 1], [0.0, 0.0])
         pol = PricePolicy(0.9)
         with pytest.raises(ValueError):
-            run_experiment(system, Assignment(np.array([True, True])), pol,
+            run_experiment(system, np.array([True, True]), pol,
                            Metric.UNITS)
         with pytest.raises(ValueError):
-            run_experiment(system, Assignment(np.array([False, False])), pol,
+            run_experiment(system, np.array([False, False]), pol,
                            Metric.UNITS)
 
     def test_noise_multiplies_quantities(self):
         system = make_system([-2.0, -2.0], [0, 1], [0.0, 0.0])
-        a = Assignment(np.array([True, False]))
+        a = np.array([True, False])
         pol = PricePolicy(0.9)
         clean = run_experiment(system, a, pol, Metric.UNITS)
         noisy = run_experiment(system, a, pol, Metric.UNITS,
@@ -148,7 +149,7 @@ class TestEstimator:
 def test_interference_inflates_the_estimate(m, beta):
     # price cut + substitution depresses control demand, so lift > GTE
     system = make_system([-2.0, -2.0], [0, 0], [beta])
-    lift = run_experiment(system, Assignment(np.array([True, False])),
+    lift = run_experiment(system, np.array([True, False]),
                           PricePolicy(m), Metric.UNITS)
     gte = global_treatment_effect(system, PricePolicy(m), Metric.UNITS)
     assert lift > gte

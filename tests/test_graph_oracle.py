@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interference_lab import (
-    Assignment,
     GeneratorConfig,
     Metric,
     Partition,
@@ -172,7 +171,7 @@ def test_build_graph_matches_pair_loop(sessions):
 @settings(max_examples=60, deadline=None)
 @given(sessions=session_lists, treated=st.lists(st.booleans(), min_size=N, max_size=N))
 def test_exposure_share_matches_per_session_labels(sessions, treated):
-    r = exposure_share(sessions, Assignment(np.array(treated)))
+    r = exposure_share(sessions, np.array(treated))
     assert (r.share_both, r.share_treated_only, r.share_control_only) == \
         reference_exposure(sessions, treated)
     assert r.session_count == len(sessions)
@@ -181,7 +180,7 @@ def test_exposure_share_matches_per_session_labels(sessions, treated):
 def test_exposure_share_names_the_uncovered_session():
     sessions = [Session("first", frozenset({0, 1})), Session("second", frozenset({1, 7}))]
     with pytest.raises(ValueError, match="session second: article 7"):
-        exposure_share(sessions, Assignment(np.array([True, False, True])))
+        exposure_share(sessions, np.array([True, False, True]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -638,5 +637,5 @@ def test_generate_matches_frozenset_reference(labels, n_sessions, bounds, purity
     got, want = build_graph(sessions, N), build_graph(expected, N)
     for attr in ("src", "dst", "w"):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-    assignment = Assignment(np.array(treated))
+    assignment = np.array(treated)
     assert exposure_share(sessions, assignment) == exposure_share(expected, assignment)
