@@ -23,8 +23,15 @@ numbers the session ids with ``np.unique`` over fixed-width byte strings. At
 the first block that is not plain it gives up, and ``_read_rows``, the
 ``csv_records`` row loop, reads the file from the start; so every error,
 with its message and line number, comes from the row loop. Both give the
-same arrays. ``write_sessions`` writes ``CLICKSTREAM_HEADER`` rows from the
-CSR arrays through ``demand.write_csv``.
+same arrays.
+
+``write_sessions`` writes one ``CLICKSTREAM_HEADER`` row per view. When every
+session id is plain (a ``str`` of ASCII without ``,``, ``"``, ``\\r``, ``\\n`` or
+NUL) the csv module would quote none, so ``_plain_rows`` spells the rows with
+numpy, a block of whole sessions and at most ``_WRITE_BLOCK`` views at a time,
+by gathering each view's id and comma and its article's digits and line end.
+Any other id goes through ``demand.write_csv``. Both write the csv module's
+bytes through ``demand.atomic_write``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .demand import Partition, csv_records, write_csv
+from .demand import Partition, atomic_write, csv_number, csv_records, write_csv
 
 CLICKSTREAM_HEADER = ["session_id", "article_id"]
 
@@ -66,6 +73,10 @@ class _Numbered(Sequence):
 
     def __getitem__(self, i: int | slice) -> str | list[str]:
         return [f"s{k}" for k in self._range[i]] if isinstance(i, slice) else f"s{self._range[i]}"
+
+    def __iter__(self) -> Iterator[str]:
+        # Sequence's own __iter__ names one id per __getitem__ call, at twice the cost.
+        return iter(self[:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +297,7 @@ def _read_rows(path: Path, limit: int):
     code, article = array("q"), array("q")
     for line, (sid, raw) in csv_records(path, CLICKSTREAM_HEADER):
         try:
-            a = int(raw)
+            a = csv_number(int, raw)
         except ValueError:
             raise ValueError(f"{path}: non-integer article_id at line {line}") from None
         if not 0 <= a < limit:
@@ -386,11 +397,84 @@ def _parse_block(buf: np.ndarray, limit: int, field_limit: int, codes: dict[str,
 
 
 def write_sessions(sessions: Clickstream | Iterable[Session], path) -> None:
-    """Write sessions as clickstream CSV, one row per view; ``Clickstream.of`` checks them."""
+    """Write sessions as clickstream CSV, one row per view; ``Clickstream.of`` checks them.
+
+    Plain ids, each a ``str`` of ASCII without ``,``, ``"``, ``\\r``, ``\\n`` or NUL, need no
+    quoting, so their rows are spelled as arrays; any other id goes through ``write_csv``.
+    Both write the csv module's bytes.
+    """
     sessions = Clickstream.of(sessions)
-    # An id may be any object the csv module can write, so it is repeated, not put in an array.
-    ids = chain.from_iterable(map(repeat, sessions.ids, np.diff(sessions.indptr).tolist()))
-    write_csv(path, CLICKSTREAM_HEADER, zip(ids, sessions.article.tolist()))
+    named = _plain_ids(list(sessions.ids))
+    if named is None:
+        # An id may be any object the csv module can write, so it is repeated, not put in an array.
+        ids = chain.from_iterable(map(repeat, sessions.ids, np.diff(sessions.indptr).tolist()))
+        write_csv(path, CLICKSTREAM_HEADER, zip(ids, sessions.article.tolist()))
+        return
+    buf = np.frombuffer(named, np.uint8)
+    # Session s's id and the comma after it are buf[offset[s]:offset[s + 1]].
+    offset = np.r_[0, np.flatnonzero(buf == ord(",")) + 1]
+    indptr = sessions.indptr
+    with atomic_write(path) as fh:
+        fh.write(",".join(CLICKSTREAM_HEADER) + "\n")
+        s0 = 0
+        while s0 < len(sessions):
+            s1 = int(np.searchsorted(indptr, indptr[s0] + _WRITE_BLOCK, side="right")) - 1
+            s1 = max(s1, s0 + 1)
+            rows = _plain_rows(buf, offset, indptr, sessions.article, s0, s1)
+            fh.write(rows.tobytes().decode("ascii"))
+            s0 = s1
+
+
+def _plain_ids(ids: list) -> bytes | None:
+    """Each id then a comma, as ASCII, if every id is plain; None otherwise."""
+    if {*map(type, ids)} != {str}:
+        return None
+    text = ",".join(ids) + ","
+    if not text.isascii() or text.count(",") != len(ids) or any(c in text for c in '"\r\n\0'):
+        return None
+    return text.encode("ascii")
+
+
+# Views per block of the array writer; a longer session is a block of its own.
+_WRITE_BLOCK = 1 << 16
+# An article id has one digit more than the number of these it reaches.
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _plain_rows(buf: np.ndarray, offset: np.ndarray, indptr: np.ndarray, article: np.ndarray,
+                s0: int, s1: int) -> np.ndarray:
+    """The bytes of the rows of sessions s0 to s1 - 1, as ``write_csv`` spells plain ids."""
+    views = article[indptr[s0]:indptr[s1]]
+    digits = np.searchsorted(_POWERS, views, side="right") + 1
+    # Row r ends with the last digits[r] + 1 bytes of tails[r]: its article id, then "\n".
+    width = int(digits.max()) + 1
+    tails = np.empty((views.size, width), np.uint8)
+    tails[:, -1] = ord("\n")
+    rest = views
+    for column in range(width - 2, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        tails[:, column] = digit + ord("0")
+    names = buf[offset[s0]:offset[s1]]
+    source = np.concatenate([names, tails.ravel()])
+    # Each row joins two pieces of source: its session's id and comma, then its tail.
+    session = np.repeat(np.arange(s0, s1), np.diff(indptr[s0:s1 + 1]))
+    piece = np.column_stack([offset[session] - offset[s0],
+                             names.size + np.arange(views.size) * width + width - 1 - digits])
+    length = np.column_stack([offset[session + 1] - offset[session], digits + 1])
+    return source[_ranges(piece.ravel(), length.ravel())]
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``start[i]``, ``start[i] + 1``, ..., ``start[i] + length[i] - 1`` for each i in turn.
+
+    Every length must be positive. One index array is the whole footprint: a running sum
+    of steps of 1 that jump at the head of each range.
+    """
+    step = np.ones(int(length.sum()), np.int64)
+    head = np.cumsum(length) - length
+    step[0] = start[0]
+    step[head[1:]] = start[1:] - start[:-1] - length[:-1] + 1
+    return np.cumsum(step, out=step)
 
 
 def build_graph(sessions: Clickstream | Iterable[Session],

@@ -78,6 +78,16 @@ def csv_records(path, header: list[str]):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def csv_number(kind: type, field: str):
+    """``kind(field)`` for ``int`` or ``float``; a ``_`` or a non-ASCII character is a ValueError.
+
+    Python reads ``1_0`` as 10 and other scripts' digits as digits; no CSV number holds them.
+    """
+    if "_" in field or not field.isascii():
+        raise ValueError(f"could not convert string to {kind.__name__}: {field!r}")
+    return kind(field)
+
+
 def read_json(path):
     """The value in UTF-8 JSON file ``path``; a parse failure is one ``ValueError`` naming it."""
     try:

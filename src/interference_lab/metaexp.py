@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .demand import csv_records
+from .demand import csv_number, csv_records
 
 DEFAULT_CI_DIVISOR = 1.96  # +/- half-width read as a 95% confidence interval
 
@@ -66,7 +66,7 @@ def read_inputs(path) -> list[MetaExperimentInput]:
     for line, (label, *values) in csv_records(
             path, ["label", "est_clustered", "ci_halfwidth", "est_article"]):
         try:
-            rows.append(MetaExperimentInput(label, *map(float, values)))
+            rows.append(MetaExperimentInput(label, *(csv_number(float, v) for v in values)))
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
     if not rows:

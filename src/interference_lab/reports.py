@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
-from .demand import Partition, csv_records, write_csv
+from .demand import Partition, csv_number, csv_records, write_csv
 from .experiment import BiasReport, CoverageReport, SweepRow
 from .metaexp import MetaComparison, MetaExperimentInput
 
@@ -76,7 +76,7 @@ def read_partition(path) -> Partition:
     labels = {}
     for line, row in csv_records(path, PARTITION_HEADER):
         try:
-            article, cluster = int(row[0]), int(row[1])
+            article, cluster = csv_number(int, row[0]), csv_number(int, row[1])
         except ValueError:
             raise ValueError(f"{path}: non-integer id at line {line}") from None
         if article in labels:

@@ -666,6 +666,29 @@ class TestUnreadableInputFile:
         assert err.count("\n") == 1 and not out.exists()
 
 
+class TestPythonNumberSyntax:
+    """A number field holding ``_`` or a non-ASCII digit, in each CSV input of each command."""
+
+    MESSAGES = {"sessions": "non-integer article_id at line 2",
+                "partition": "non-integer id at line 2",
+                "meta": "line 2: could not convert string to float: "}
+
+    @pytest.mark.parametrize("kind,command", TestUnreadableInputFile.COMMANDS)
+    @pytest.mark.parametrize("field", ["1_0", "٣"], ids=["underscore", "arabic-indic"])
+    def test_is_one_error_line_naming_the_file(self, system_path, tmp_path, capsys, kind,
+                                               command, field):
+        infile = tmp_path / "in.csv"
+        header = TestUnreadableInputFile.HEADERS[kind]
+        infile.write_text(f"{header}\n0{',1' * (header.count(',') - 1)},{field}\n",
+                          encoding="utf-8")
+        system = [] if kind == "meta" else ["--system", system_path]
+        out = tmp_path / "o.csv"
+        assert run([*command, infile, *system, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {infile}: {self.MESSAGES[kind]}" + (
+            f"{field!r}\n" if kind == "meta" else "\n")
+        assert not out.exists()
+
+
 class TestCoverage:
     def test_coverage_csv(self, system_path, tmp_path):
         out = tmp_path / "cov.csv"

@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from interference_lab import (
     SessionGraph,
     assign,
     build_graph,
+    clickstream,
     exposure_share,
     generate_sessions,
     read_sessions,
 )
 from interference_lab.clickstream import write_sessions
+from interference_lab.demand import write_csv
 
 
 def planted_partition(k: int, size: int) -> Partition:
@@ -329,6 +332,13 @@ class TestSessionIO:
         with pytest.raises(ValueError, match="99"):
             read_sessions(out_of_range, n_articles=10)
 
+    @pytest.mark.parametrize("raw", ["1_0", "٣", "\u00a07"])
+    def test_python_number_syntax_is_not_an_article_id(self, tmp_path, raw):
+        path = tmp_path / "clicks.csv"
+        path.write_text(f"session_id,article_id\na,1\nb,{raw}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"clicks\.csv: non-integer article_id at line 3$"):
+            read_sessions(path)
+
     def test_failing_writer_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "clicks.csv"
         write_sessions([Session("a", frozenset({1, 2}))], path)
@@ -410,6 +420,94 @@ class TestSessionIO:
         assert ids == [s.session_id for s in sessions]
         assert [article[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == \
             [sorted(s.viewed) for s in sessions]
+
+
+# Plain session ids: ASCII without a comma, a quote, a line end or NUL, so empty ids,
+# spaces, tabs and other punctuation are plain.
+PLAIN_IDS = st.text(st.sampled_from([c for c in map(chr, range(128)) if c not in ',"\r\n\0']),
+                    max_size=6)
+# Article ids at the edges of a digit count, and anywhere in int64.
+ARTICLE_IDS = st.sampled_from([0, 9, 10, 99, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+
+
+def written_by_write_csv(sessions: list[Session], path: Path) -> bytes:
+    """The bytes of ``sessions`` through the shared csv writer: the array writer's oracle."""
+    write_csv(path, clickstream.CLICKSTREAM_HEADER,
+              [(s.session_id, a) for s in sessions for a in sorted(s.viewed)])
+    return path.read_bytes()
+
+
+class TestArrayWriter:
+    """Plain ids are spelled as arrays, a block of whole sessions at a time; others take write_csv."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """``(s0, s1)`` of each block of sessions that the array writer spells."""
+        seen = []
+        rows = clickstream._plain_rows
+
+        def spy(buf, offset, indptr, article, s0, s1):
+            seen.append((s0, s1))
+            return rows(buf, offset, indptr, article, s0, s1)
+
+        monkeypatch.setattr(clickstream, "_plain_rows", spy)
+        return seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(PLAIN_IDS, st.frozensets(ARTICLE_IDS, min_size=1, max_size=5)),
+                    min_size=1, max_size=8))
+    def test_plain_ids_give_the_bytes_of_write_csv(self, drawn):
+        sessions = [Session(sid, viewed) for sid, viewed in drawn]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clicks.csv"
+            with mock.patch.object(clickstream, "write_csv",
+                                   side_effect=AssertionError("plain ids took write_csv")):
+                write_sessions(Clickstream.of(sessions), path)
+            assert path.read_bytes() == written_by_write_csv(sessions, Path(tmp) / "oracle.csv")
+
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_each_block_is_the_most_whole_sessions_that_fit(self, tmp_path, monkeypatch,
+                                                            blocks, block):
+        monkeypatch.setattr(clickstream, "_WRITE_BLOCK", block)
+        sessions = generate_sessions(planted_partition(8, 40), 60, 1, 6, 0.5, seed=block)
+        path = tmp_path / "clicks.csv"
+        write_sessions(sessions, path)
+        assert path.read_bytes() == written_by_write_csv(list(sessions), tmp_path / "oracle.csv")
+        indptr = sessions.indptr
+        assert [s0 for s0, _ in blocks] == [0] + [s1 for _, s1 in blocks[:-1]]
+        assert blocks[-1][1] == len(sessions)
+        for s0, s1 in blocks:
+            assert indptr[s1] - indptr[s0] <= block or s1 == s0 + 1
+            assert s1 == len(sessions) or indptr[s1 + 1] - indptr[s0] > block
+        # The limit falls between two sessions for some blocks and inside a session for others.
+        full = [indptr[s1] - indptr[s0] == block for s0, s1 in blocks[:-1]]
+        assert any(full) and (block == 1 or not all(full))
+
+    def test_a_session_longer_than_a_block_is_written_whole(self, tmp_path, monkeypatch,
+                                                             blocks):
+        monkeypatch.setattr(clickstream, "_WRITE_BLOCK", 3)
+        sessions = [Session("a", frozenset({1})), Session("long", frozenset(range(10, 17))),
+                    Session("b", frozenset({2, 3}))]
+        path = tmp_path / "clicks.csv"
+        write_sessions(sessions, path)
+        assert blocks == [(0, 1), (1, 2), (2, 3)]
+        assert path.read_bytes() == written_by_write_csv(sessions, tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("sid,plain", [
+        ("a,b", False), ('a"b', False), ("a\rb", False), ("a\nb", False), ("a\0b", False),
+        ("é", False), ("中", False), (7, False), (np.str_("a"), False),
+        ("", True), (" a\t", True), ("a;b|c'", True)])
+    def test_only_plain_ids_skip_write_csv(self, tmp_path, monkeypatch, sid, plain):
+        calls = []
+        monkeypatch.setattr(clickstream, "write_csv", lambda *args: calls.append(args))
+        write_sessions([Session("s0", frozenset({1, 2})), Session(sid, frozenset({3}))],
+                       tmp_path / "clicks.csv")
+        if plain:
+            assert calls == []
+        else:
+            [(_, header, rows)] = calls
+            assert header == clickstream.CLICKSTREAM_HEADER
+            assert list(rows) == [("s0", 1), ("s0", 2), (sid, 3)]
 
 
 class TestBuildGraph:

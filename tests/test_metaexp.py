@@ -90,6 +90,21 @@ class TestReadInputs:
         with pytest.raises(ValueError, match="line 2"):
             read_inputs(path)
 
+    @pytest.mark.parametrize("row,field", [("q3,0.4_1,0.05,0.6_1", "0.4_1"),
+                                           ("q3,0.41,0.05,٠.٦", "٠.٦")])
+    def test_rejects_python_number_syntax(self, tmp_path, row, field):
+        path = tmp_path / "meta.csv"
+        path.write_text(f"label,est_clustered,ci_halfwidth,est_article\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"meta\.csv: line 2: could not convert "
+                                             rf"string to float: '{field}'$"):
+            read_inputs(path)
+
+    def test_reads_exponents_signs_and_padding(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("label,est_clustered,ci_halfwidth,est_article\nq3,4.1e-1, 5E-2 ,+0.61\n")
+        assert read_inputs(path) == [MetaExperimentInput("q3", 0.41, 0.05, 0.61)]
+
     @pytest.mark.parametrize("row", ["x,nan,0.05,0.6", "x,0.4,inf,0.6", "x,0.4,0.05,-inf"])
     def test_rejects_non_finite(self, tmp_path, row):
         path = tmp_path / "meta.csv"

@@ -169,6 +169,13 @@ class TestPartitionIO:
         with pytest.raises(ValueError, match=r"part\.csv: non-integer id at line 3"):
             read_partition(path)
 
+    @pytest.mark.parametrize("row", ["1,1_0", "1_0,1", "1,١"])
+    def test_rejects_python_number_syntax(self, tmp_path, row):
+        path = tmp_path / "part.csv"
+        path.write_text(f"article_id,cluster_id\n0,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"part\.csv: non-integer id at line 3$"):
+            read_partition(path)
+
     def test_rejects_repeated_article_id(self, tmp_path):
         path = tmp_path / "part.csv"
         path.write_text("article_id,cluster_id\n0,0\n1,1\n0,1\n")
