@@ -1,10 +1,11 @@
 """Command-line entry point wiring the modules end to end.
 
 One subcommand per pipeline stage; every run is deterministic given
-(config, seed) and the worker count never changes output bytes. Options can
-also be supplied through a JSON config file (``--config``); explicit flags
-override file values. Unknown keys are rejected, and so are the keys of
-flags that must be given on the command line.
+(config, seed) and the worker count never changes output bytes. A JSON config
+file (``--config``) supplies defaults that flags override; it may not name an
+unknown key or a flag that must be on the command line. Every number (flags,
+config values, ``$INTERFERENCE_LAB_SEED``, ``--phis``/``--gammas``) goes through
+``demand.csv_number``, the CSV readers' rule.
 
 ``main`` checks the seed and the worker count once for every subcommand, and
 ``_inputs`` loads ``--system`` and ``--partition``, which must cover the same
@@ -16,9 +17,11 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,9 @@ import numpy as np
 from . import clickstream, clustering, demand, experiment, metaexp, reports
 
 SEED_ENV_VAR = "INTERFERENCE_LAB_SEED"
+# The number flags' types: the CSV readers' rule, named for argparse's "invalid int value".
+INT, FLOAT = partial(demand.csv_number, int), partial(demand.csv_number, float)
+INT.__name__, FLOAT.__name__ = "int", "float"
 
 # GeneratorConfig field -> flag; the two shares go by the paper's names.
 GENERATOR_FLAGS = {f.name: f.name for f in fields(demand.GeneratorConfig)} | {
@@ -36,7 +42,8 @@ def _add_generator_flags(parser: argparse.ArgumentParser, skip=()) -> None:
     for name, flag in GENERATOR_FLAGS.items():
         if name not in skip:
             default = getattr(demand.GeneratorConfig, name)
-            parser.add_argument(f"--{flag.replace('_', '-')}", default=default, type=type(default))
+            parser.add_argument(f"--{flag.replace('_', '-')}", default=default,
+                                type=FLOAT if isinstance(default, float) else INT)
 
 
 def _generator_config(args) -> demand.GeneratorConfig:
@@ -47,9 +54,9 @@ def _generator_config(args) -> demand.GeneratorConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with option values (flags override)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=INT, default=None,
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=INT, default=None,
                         help="worker processes for the Monte-Carlo draws, at most the "
                              "CPUs this process may use (default: that many)")
     parser.add_argument("--out", type=Path, required=True)
@@ -68,21 +75,21 @@ def _add_inputs(parser: argparse.ArgumentParser, system_required: bool,
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--multiplier", type=float, default=demand.PricePolicy.treated_multiplier,
+    parser.add_argument("--multiplier", type=FLOAT, default=demand.PricePolicy.treated_multiplier,
                         help="treated price multiplier (default %(default)s)")
     parser.add_argument("--metric", choices=["units", "revenue"], default="revenue")
-    parser.add_argument("--p", type=int, default=1000,
+    parser.add_argument("--p", type=INT, default=1000,
                         help="number of experiment assignments (default %(default)s)")
 
 
 def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sessions", type=Path, default=None,
                         help="clickstream CSV (session_id,article_id)")
-    parser.add_argument("--n-sessions", type=int, default=None,
+    parser.add_argument("--n-sessions", type=INT, default=None,
                         help="synthesize this many sessions instead of reading a file")
-    parser.add_argument("--views-min", type=int, default=2)
-    parser.add_argument("--views-max", type=int, default=5)
-    parser.add_argument("--purity", type=float, default=0.9)
+    parser.add_argument("--views-min", type=INT, default=2)
+    parser.add_argument("--views-max", type=INT, default=5)
+    parser.add_argument("--purity", type=FLOAT, default=0.9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("cluster", cmd_cluster, "modularity-cluster the co-view graph")
     _add_session_flags(p)
     _add_inputs(p, system_required=False)
-    p.add_argument("--gamma", type=float, default=1.0,
+    p.add_argument("--gamma", type=FLOAT, default=1.0,
                    help="resolution (default %(default)s)")
 
     p = command("exposure", cmd_exposure, "exposure shares of an assignment")
@@ -131,18 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, system_required=True)
     p.add_argument("--gammas", type=str, default="0.25,0.5,1,2,4,8",
                    help="comma-separated resolution values")
-    p.add_argument("--exposure-draws", type=int, default=clustering.DEFAULT_EXPOSURE_DRAWS)
+    p.add_argument("--exposure-draws", type=INT, default=clustering.DEFAULT_EXPOSURE_DRAWS)
 
     p = command("meta", cmd_meta, "meta-experiment bias arithmetic")
     p.add_argument("--in", dest="infile", type=Path, required=True,
                    help="CSV: label,est_clustered,ci_halfwidth,est_article")
-    p.add_argument("--ci-divisor", type=float, default=metaexp.DEFAULT_CI_DIVISOR,
+    p.add_argument("--ci-divisor", type=FLOAT, default=metaexp.DEFAULT_CI_DIVISOR,
                    help="half-width -> sigma divisor (default %(default)s)")
 
     p = command("coverage", cmd_coverage, "naive-interval coverage analysis")
     _add_mc_flags(p)
     _add_inputs(p, system_required=True, strategy_default="article")
-    p.add_argument("--noise-sigma", type=float, default=experiment.DEFAULT_NOISE_SIGMA,
+    p.add_argument("--noise-sigma", type=FLOAT, default=experiment.DEFAULT_NOISE_SIGMA,
                    help="lognormal observation-noise sigma (default %(default)s)")
 
     return parser
@@ -187,11 +194,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
 def _resolve_seed(args) -> int:
     source, text = (("--seed", args.seed) if args.seed is not None
                     else (f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")))
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
+    with contextlib.suppress(ValueError):
+        if (seed := demand.csv_number(int, str(text))) >= 0:
+            return seed
     raise RuntimeError(f"{source} must be a non-negative integer, not {text!r}")
 
 
@@ -237,7 +242,7 @@ def _sessions(args, part: demand.Partition | None) -> clickstream.Clickstream:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [FLOAT(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise RuntimeError(f"cannot parse {what} list: {text!r}") from None
     if not values:

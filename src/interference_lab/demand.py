@@ -11,16 +11,15 @@ therefore computable exactly.
 A ``DemandSystem`` holds E flat, as the system JSON does: ``own``, the
 per-cluster ``within`` (the JSON's ``within_beta``), ``background`` and the
 ``partition``; it evaluates in O(n), and ``dense_oracle`` materializes E as a
-brute-force cross-check. Every other module imports this one, so it also holds
-their file helpers: ``read_json`` and ``csv_records`` read every JSON and CSV
-input, ``write_csv`` writes every CSV output (rows as given; ``reports`` spells
-its floats first), and ``atomic_write`` replaces each output whole.
+brute-force cross-check. Every other module imports this one, so it holds the
+boundary helpers: ``read_json`` and ``csv_records`` read every input file,
+``csv_number`` is the number rule of every CSV field and CLI value, and
+``write_csv`` streams each CSV row into ``atomic_write``, which replaces a file whole.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -28,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,17 +97,16 @@ def read_json(path):
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header``, then each row of the iterable ``rows`` as the csv module spells it."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buffer.getvalue()
-    # The writer quotes a value holding "\n" but not "\r", which readers take for a line end.
-    if "\r" in text:
-        raise ValueError(f"{path}: cannot write a value holding a carriage return")
+    """Stream ``header``, then each row of the iterable ``rows`` as the csv module spells it."""
+    def write(line: str) -> None:
+        # The writer quotes a value holding "\n" but not "\r", which readers take for a line end.
+        if "\r" in line:
+            raise ValueError(f"{path}: cannot write a value holding a carriage return")
+        fh.write(line)
     with atomic_write(path) as fh:
-        fh.write(text)
+        writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class Metric(Enum):
@@ -420,8 +419,12 @@ def generate_demand_system(config: GeneratorConfig, seed: int) -> DemandSystem:
 
     prices = rng.uniform(config.price_min, config.price_max, n)
     quantities = rng.uniform(config.quantity_min, config.quantity_max, n)
-    return DemandSystem(prices, quantities, own, within, background, partition,
-                        seed=seed, config=config)
+    try:
+        return DemandSystem(prices, quantities, own, within, background, partition,
+                            seed=seed, config=config)
+    except ValueError as exc:  # the shares' product breaks a rule of DemandSystem
+        raise ValueError(f"within_share {config.within_share}, "
+                         f"background_share {config.background_share}: {exc}") from None
 
 
 def _check_multipliers(system: DemandSystem, multipliers) -> np.ndarray:

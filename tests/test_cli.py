@@ -101,6 +101,17 @@ class TestGen:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,out_name", [
+        (["gen", *GEN_SMALL, "--phi", "0"], "s.json"),
+        (["sweep", *GEN_SMALL, "--phis", "0,0.3", "--p", "4"], "s.csv")], ids=["gen", "sweep"])
+    def test_shares_below_the_background_are_named(self, tmp_path, capsys, argv, out_name):
+        out = tmp_path / out_name
+        assert run([*argv, "--workers", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: within_share 0.0, background_share 0.05: "
+            "within-cluster elasticity must be >= background\n")
+        assert not out.exists()
+
     def test_invalid_config_is_runtime_error(self, tmp_path, capsys):
         code = run(["gen", "--n", "0", "--out", tmp_path / "x.json"])
         assert code == 1
@@ -687,6 +698,74 @@ class TestPythonNumberSyntax:
         assert capsys.readouterr().err == f"error: {infile}: {self.MESSAGES[kind]}" + (
             f"{field!r}\n" if kind == "meta" else "\n")
         assert not out.exists()
+
+
+class TestNumberRule:
+    """Flags, config values, ``$INTERFERENCE_LAB_SEED`` and the comma lists read numbers as
+    the CSV readers do: ``_`` and non-ASCII digits are refused."""
+
+    # (argv, config file, seed variable, exit code, error message)
+    REFUSED = [
+        (["gen", *GEN_SMALL, "--n", "1_00"], None, None, 2,
+         "argument --n: invalid int value: '1_00'"),
+        (["gen", *GEN_SMALL, "--seed", "٣"], None, None, 2,
+         "argument --seed: invalid int value: '٣'"),
+        (["simulate", "--system", "{sys}", "--p", "4", "--multiplier", "٠.٩"], None, None, 2,
+         "argument --multiplier: invalid float value: '٠.٩'"),
+        (["simulate", "--system", "{sys}"], {"p": "1_0"}, None, 2,
+         "config file {cfg}: invalid value for 'p': '1_0'"),
+        (["gen", *GEN_SMALL], None, "٣", 1,
+         "$INTERFERENCE_LAB_SEED must be a non-negative integer, not '٣'"),
+        (["sweep", *GEN_SMALL, "--p", "4", "--phis", "0.1,1_0"], None, None, 1,
+         "cannot parse phi list: '0.1,1_0'"),
+        (["frontier", "--system", "{sys}", "--n-sessions", "30", "--p", "4", "--gammas", "١"],
+         None, None, 1, "cannot parse gamma list: '١'"),
+    ]
+
+    @pytest.mark.parametrize("argv,config,env,code,message", REFUSED, ids=[
+        "n-underscore", "seed-arabic-indic", "multiplier-arabic-indic", "config-underscore",
+        "env-seed-arabic-indic", "phis-underscore", "gammas-arabic-indic"])
+    def test_is_refused_with_one_error_line(self, system_path, tmp_path, monkeypatch, capsys,
+                                            argv, config, env, code, message):
+        files = {"sys": system_path, "cfg": tmp_path / "cfg.json"}
+        if config is None:
+            extra = []
+        else:
+            files["cfg"].write_text(json.dumps(config))
+            extra = ["--config", files["cfg"]]
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        out = tmp_path / "o.csv"
+        argv = [a.format(**files) for a in argv] + extra + ["--workers", "1", "--out", out]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert lines == [f"interference-lab {argv[0]}: error: {message.format(**files)}"]
+        else:
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+        assert not out.exists()
+
+    def test_padding_signs_exponents_and_nan_still_parse(self):
+        args = cli.build_parser().parse_args(
+            ["coverage", "--system", "s.json", "--out", "o.csv", "--p", " 7", "--seed", "+7",
+             "--multiplier", "1e-3", "--noise-sigma", "nan"])
+        assert (args.p, args.seed, args.multiplier) == (7, 7, 1e-3)
+        assert math.isnan(args.noise_sigma)
+
+    def test_padding_and_signs_still_parse_in_the_seed_variable_and_lists(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, " +7")
+        out = {name: tmp_path / f"{name}.csv" for name in ("padded", "plain")}
+        for name, phis in [("padded", " 1e-1,+0.3 "), ("plain", "0.1,0.3")]:
+            assert run(["sweep", *GEN_SMALL, "--phi-bg", "0", "--p", "4", "--phis", phis,
+                        "--workers", "1", "--out", out[name]]) == 0
+        assert out["padded"].read_bytes() == out["plain"].read_bytes()
+        assert read_rows(out["plain"])[1][BIAS_HEADER.index("seed")] == "7"
 
 
 class TestCoverage:

@@ -224,6 +224,12 @@ class TestGenerator:
             generate_demand_system(
                 GeneratorConfig(within_share=0.6, background_share=0.5), seed=0)
 
+    def test_shares_that_break_the_system_rule_are_named(self):
+        # The rule lives in DemandSystem alone; the generator puts the two shares in front.
+        with pytest.raises(ValueError, match=r"^within_share 0\.0, background_share 0\.05: "
+                                             r"within-cluster elasticity must be >= background$"):
+            generate_demand_system(GeneratorConfig(n=40, within_share=0.0), seed=0)
+
 
 class TestSerialization:
     def test_round_trip_is_lossless(self, tmp_path):

@@ -65,6 +65,30 @@ class TestWriteCsv:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_late_carriage_return_leaves_the_previous_file(self, tmp_path):
+        # Rows reach the temporary file as they are spelled, so row 100,000 is refused
+        # after the ones before it were written.
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a"], [[1]])
+        before = path.read_bytes()
+        rows = (["x\ry" if i == 100_000 else i] for i in range(1, 200_001))
+        with pytest.raises(ValueError, match="cannot write a value holding a carriage return"):
+            write_csv(path, ["a"], rows)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_rows_are_written_as_they_are_spelled(self, tmp_path):
+        path = tmp_path / "out.csv"
+
+        def rows():
+            yield from ([i] for i in range(10_000, 20_000))
+            # 60,002 bytes are spelled so far; all but the write buffer are in the file.
+            (tmp,) = tmp_path.iterdir()
+            assert tmp.name.endswith(".tmp") and tmp.stat().st_size > 40_000
+
+        write_csv(path, ["a"], rows())
+        assert path.read_text() == "a\n" + "".join(f"{i}\n" for i in range(10_000, 20_000))
+
     def test_byte_stable(self, tmp_path):
         rows = [[1 / 3, "x"], [float("nan"), "y"]]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
