@@ -408,7 +408,9 @@ def write_sessions(sessions: Clickstream | Iterable[Session], path) -> None:
     if named is None:
         # An id may be any object the csv module can write, so it is repeated, not put in an array.
         ids = chain.from_iterable(map(repeat, sessions.ids, np.diff(sessions.indptr).tolist()))
-        write_csv(path, CLICKSTREAM_HEADER, zip(ids, sessions.article.tolist()))
+        views = chain.from_iterable(sessions.article[i:i + _WRITE_BLOCK].tolist()
+                                    for i in range(0, sessions.article.size, _WRITE_BLOCK))
+        write_csv(path, CLICKSTREAM_HEADER, zip(ids, views))
         return
     buf = np.frombuffer(named, np.uint8)
     # Session s's id and the comma after it are buf[offset[s]:offset[s + 1]].

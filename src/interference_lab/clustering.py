@@ -246,6 +246,10 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
     sessions = Clickstream.of(sessions, system.n)
     if exposure_draws < 1:
         raise ValueError(f"exposure_draws must be >= 1, not {exposure_draws}")
+    try:  # one buffer for every gamma, so a count that no array can hold fails before Louvain
+        shares = np.empty(exposure_draws)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"exposure_draws {exposure_draws}: too many draws ({exc})") from None
     _check_p(p)
     order = sorted(enumerate(gammas), key=lambda t: t[1])
     if not order:
@@ -258,9 +262,9 @@ def frontier(system: DemandSystem, sessions: Clickstream | Iterable[Session], ga
         k = part.n_clusters
         share_both = share_both_sd = float("nan")
         if k >= 2:
-            masks = (assign(part, np.random.default_rng([seed, idx, 1, d]))
-                     for d in range(exposure_draws))
-            shares = np.asarray([exposure_share(sessions, t).share_both for t in masks])
+            for d in range(exposure_draws):
+                treated = assign(part, np.random.default_rng([seed, idx, 1, d]))
+                shares[d] = exposure_share(sessions, treated).share_both
             share_both = float(shares.mean())
             share_both_sd = float(shares.std(ddof=1)) if shares.size > 1 else 0.0
             experiments.append(_Experiment(system, part, metric, [seed, idx, 2], policy))

@@ -401,15 +401,17 @@ def generate_demand_system(config: GeneratorConfig, seed: int) -> DemandSystem:
     rng = np.random.default_rng(seed)
     n = config.n
 
-    sizes = []
-    total = 0
+    try:  # allocated before the loop, so an n that no array can hold fails at once
+        labels = np.empty(n, dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"n {n}: too many articles for one array ({exc})") from None
+    k = total = 0
     while total < n:
-        s = int(rng.integers(config.cluster_size_min, config.cluster_size_max + 1))
-        s = min(s, n - total)
-        sizes.append(s)
-        total += s
-    sizes = np.asarray(sizes, dtype=np.int64)
-    partition = Partition(np.repeat(np.arange(sizes.size), sizes))
+        s = min(int(rng.integers(config.cluster_size_min, config.cluster_size_max + 1)), n - total)
+        labels[total:total + s] = k
+        k, total = k + 1, total + s
+    partition = Partition(labels)
+    sizes = partition.sizes()
 
     own = rng.uniform(config.own_mean - config.own_spread,
                       config.own_mean + config.own_spread, n)

@@ -1,11 +1,14 @@
-"""CSV serialization of report objects.
+"""CSV serialization of report objects, each through ``demand.write_csv``.
 
-Every report goes through ``demand.write_csv``. The float reports spell each
-value through ``fmt``, which writes floats with 17 significant digits so that
-outputs round-trip exactly and are byte-stable across runs and worker counts.
+A report's columns are its record's fields, named by its header constant, the
+only list of its columns. ``fmt`` writes floats with 17 significant digits so
+that outputs round-trip exactly and are byte-stable across runs and worker counts.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
+from types import SimpleNamespace
 
 from .clickstream import ExposureReport
 from .clustering import FrontierPoint
@@ -32,40 +35,32 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _write_report(path, header: list[str], rows) -> None:
-    write_csv(path, header, (map(fmt, row) for row in rows))
-
-
-def _bias_row(phi, strategy: str, r: BiasReport) -> list:
-    return [phi, strategy, r.gte, r.mean_estimate, r.mean_bias, r.sd_estimate,
-            r.relative_sd, r.q05, r.q50, r.q95, r.p, r.seed]
+def _write_report(path, header: list[str], records) -> None:
+    write_csv(path, header, ([fmt(getattr(r, column)) for column in header] for r in records))
 
 
 def write_bias_report(path, report: BiasReport, strategy: str,
                       phi: float | None = None) -> None:
-    _write_report(path, BIAS_HEADER, [_bias_row("" if phi is None else phi, strategy, report)])
+    _write_report(path, BIAS_HEADER, [SimpleNamespace(
+        phi="" if phi is None else phi, strategy=strategy, **asdict(report))])
 
 
 def write_sweep(path, rows: list[SweepRow]) -> None:
-    _write_report(path, BIAS_HEADER, [_bias_row(r.phi, r.strategy, r.report) for r in rows])
+    _write_report(path, BIAS_HEADER, [SimpleNamespace(
+        phi=r.phi, strategy=r.strategy, **asdict(r.report)) for r in rows])
 
 
 def write_exposure(path, report: ExposureReport) -> None:
-    _write_report(path, EXPOSURE_HEADER,
-                  [[report.share_both, report.share_treated_only,
-                    report.share_control_only, report.session_count]])
+    _write_report(path, EXPOSURE_HEADER, [report])
 
 
 def write_frontier(path, points: list[FrontierPoint]) -> None:
     _write_report(path, FRONTIER_HEADER,
-                  [[pt.resolution, pt.n_clusters, pt.avg_cluster_size, pt.modularity,
-                    pt.share_both, pt.mean_bias, pt.relative_sd] for pt in points])
+                  [SimpleNamespace(gamma=pt.resolution, **asdict(pt)) for pt in points])
 
 
 def write_coverage(path, report: CoverageReport) -> None:
-    _write_report(path, COVERAGE_HEADER,
-                  [[report.aa_sd, report.coverage_rate, report.mean_z, report.gte,
-                    report.p, report.seed, report.noise_sigma]])
+    _write_report(path, COVERAGE_HEADER, [report])
 
 
 def write_partition(path, partition: Partition) -> None:
@@ -91,5 +86,4 @@ def read_partition(path) -> Partition:
 
 def write_meta(path, rows: list[tuple[MetaExperimentInput, MetaComparison]]) -> None:
     _write_report(path, META_HEADER,
-                  [[inp.label, inp.est_clustered, inp.ci_halfwidth, inp.est_article,
-                    cmp.relative_bias, cmp.sigma_distance] for inp, cmp in rows])
+                  [SimpleNamespace(**asdict(inp), **asdict(cmp)) for inp, cmp in rows])

@@ -973,6 +973,23 @@ class TestConfigFile:
         assert proc.stderr.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["gen", "--n", "100000000000000000000"], "n"),
+    (["sweep", "--n", "100000000000000000000", "--p", "4"], "n"),
+    (["frontier", "--system", "{sys}", "--n-sessions", "30", "--p", "4",
+      "--exposure-draws", "100000000000000000000"], "exposure_draws"),
+], ids=["gen-n", "sweep-n", "frontier-exposure-draws"])
+def test_a_count_that_no_array_can_hold_is_one_error_line(system_path, tmp_path, capsys,
+                                                          argv, name):
+    # numpy refuses these counts before it allocates anything, so each command fails at once.
+    out = tmp_path / "out"
+    argv = [a.format(sys=system_path) for a in argv]
+    assert run(argv + ["--workers", "1", "--out", out]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {name} 100000000000000000000: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["frontier", "--system", "{sys}", "--n-sessions", "300", "--gammas", "a,b", "--p", "4"],
      "cannot parse gamma list: 'a,b'"),

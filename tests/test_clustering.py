@@ -370,6 +370,18 @@ class TestFrontier:
             frontier(system, sessions, gammas=[1.0], policy=PricePolicy(0.9),
                      metric=Metric.UNITS, p=1, seed=43, workers=2)
 
+    def test_an_exposure_draw_count_that_no_array_can_hold_fails_before_louvain(
+            self, monkeypatch):
+        monkeypatch.setattr("interference_lab.clustering._louvain",
+                            lambda *a: pytest.fail("Louvain started"))
+        cfg = GeneratorConfig(n=12, cluster_size_min=3, cluster_size_max=4)
+        system = generate_demand_system(cfg, seed=41)
+        sessions = generate_sessions(system.partition, 100, 2, 4, purity=0.5, seed=42)
+        with pytest.raises((ValueError, MemoryError),
+                           match=r"^exposure_draws 100000000000000000000: "):
+            frontier(system, sessions, gammas=[1.0], policy=PricePolicy(0.9),
+                     metric=Metric.UNITS, p=4, seed=43, exposure_draws=10**20)
+
     def test_rejects_no_gammas_before_the_graph(self, monkeypatch):
         monkeypatch.setattr("interference_lab.clustering.build_graph",
                             lambda *a: pytest.fail("graph built"))

@@ -230,6 +230,11 @@ class TestGenerator:
                                              r"within-cluster elasticity must be >= background$"):
             generate_demand_system(GeneratorConfig(n=40, within_share=0.0), seed=0)
 
+    def test_an_n_that_no_array_can_hold_fails_before_any_draw(self):
+        # The labels are allocated before the size loop, which draws one cluster at a time up to n.
+        with pytest.raises((ValueError, MemoryError), match=r"^n 100000000000000000000: "):
+            generate_demand_system(GeneratorConfig(n=10**20), seed=0)
+
 
 class TestSerialization:
     def test_round_trip_is_lossless(self, tmp_path):
