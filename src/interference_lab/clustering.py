@@ -99,7 +99,8 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     or a neighbour's) gains or loses a node. A pass without a move leaves every
     node stable, so the RNG stream and every move are those of visiting every
     node. A level whose edges are all self-loops would run no pass, not one
-    without a move, but ``_louvain`` stops before it builds one.
+    without a move, but ``_louvain`` stops before it builds one. The visits keep
+    only the neighbour lists and per-node state: the edge-sized sort keys go first.
     """
     strength = (np.bincount(src, w, minlength=k) + np.bincount(dst, w, minlength=k)).tolist()
     # CSR adjacency over both directions of every edge except self-loops
@@ -107,12 +108,14 @@ def _local_move(src: np.ndarray, dst: np.ndarray, w: np.ndarray, k: int, m: floa
     tail = np.concatenate([src[link], dst[link]])
     order = np.argsort(tail, kind="stable")
     degree = np.bincount(tail, minlength=k)
+    del tail
     ptr = np.concatenate([[0], np.cumsum(degree)]).tolist()
     # One int object per node, shared by the lists below; fresh ints per
     # list entry would cost 32 bytes each.
     node = np.arange(k, dtype=object)
     nbr = node[np.concatenate([dst[link], src[link]])[order]].tolist()
     nbr_w = np.concatenate([w[link], w[link]])[order].tolist()
+    del order
     comm = node.tolist()
     sigma_tot = strength.copy()
     two_m2 = 2.0 * m * m

@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -215,6 +216,37 @@ class TestLouvain:
         monkeypatch.undo()
         for gamma, part in zip(gammas, parts):
             np.testing.assert_array_equal(part.cluster_of, louvain(graph, gamma, 3).cluster_of)
+
+    def test_no_sort_key_outlives_the_setup_of_a_level(self, monkeypatch):
+        # The edge-sized array that a level sorts and the order it sorts into are
+        # freed before the first pass draws its visit order, so the visits hold
+        # only the neighbour lists and the per-node state.
+        keys = []
+        argsort = np.argsort
+
+        def recorded(a, *args, **kwargs):
+            order = argsort(a, *args, **kwargs)
+            keys.extend([weakref.ref(a), weakref.ref(order)])
+            return order
+
+        class Checked:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.passes = 0
+
+            def permutation(self, k):
+                assert len(keys) == 2 and all(key() is None for key in keys)
+                self.passes += 1
+                return self.rng.permutation(k)
+
+        system = generate_demand_system(GeneratorConfig(n=60), seed=4)
+        graph = build_graph(generate_sessions(system.partition, 400, 2, 4, 0.9, 5), system.n)
+        args = (graph.src, graph.dst, graph.w, graph.n, graph.total_weight, (1.0,))
+        expected = clustering._local_move(*args, np.random.default_rng(6))
+        monkeypatch.setattr(np, "argsort", recorded)
+        rng = Checked(6)
+        np.testing.assert_array_equal(clustering._local_move(*args, rng), expected)
+        assert rng.passes >= 2
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
